@@ -546,6 +546,34 @@ void BM_Campaign(benchmark::State& state, bool shared) {
 BENCHMARK_CAPTURE(BM_Campaign, cold, false)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Campaign, shared, true)->Unit(benchmark::kMillisecond);
 
+// Campaign thread scaling: run_campaign_in_memory over 4 circuits × 4 seeds
+// × 2 HT shapes (32 jobs sharing 16 suite keys, two per key like
+// campaign1k) at 1/2/4 job-level threads. The driver's artifact phase builds
+// the 16 keys one per worker before the jobs run; without it grid-order
+// dispatch queues the workers on one key's build. Real time, since the work
+// spans threads; a 2 s minimum gives each row several sweeps on a shared
+// host. No row may be slower than threads:1.
+void BM_CampaignThreads(benchmark::State& state) {
+  tz::CampaignGrid g;
+  g.circuits = {"mult6", "wallace6", "aluecc8x2", "rand1k"};
+  g.seeds = {1, 2, 3, 4};
+  g.trigger_widths = {2, 4};
+  const std::size_t jobs = g.expand().size();
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tz::run_campaign_in_memory(g, threads));
+  }
+  state.SetItemsProcessed(state.iterations() * jobs);
+}
+BENCHMARK(BM_CampaignThreads)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->MinTime(2.0)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

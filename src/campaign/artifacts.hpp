@@ -22,9 +22,12 @@
 //
 // Thread safety: any number of jobs may call get_circuit / get_suite
 // concurrently. The store uses one mutex for the maps plus a per-entry
-// build mutex, so two different keys build in parallel while two racing
-// requests for the same key build it exactly once. Handed-out references
-// stay valid for the life of the store (entries are never evicted; a
+// build mutex: two racing requests for the same key build it exactly once,
+// and requests for different keys do not block each other. The store does
+// not schedule builds: workers that request keys in grid order mostly wait
+// on one key's build mutex, so the campaign driver requests each distinct
+// key from its own worker before any job runs. Handed-out references stay
+// valid for the life of the store (entries are never evicted; a
 // campaign's working set is its distinct keys, which is small by design).
 #pragma once
 

@@ -1,8 +1,10 @@
 #include "campaign/driver.hpp"
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_map>
@@ -260,6 +262,52 @@ void build_assignment(const std::vector<JobSpec>& jobs,
   }
 }
 
+/// Artifact phase: build the suite entry (and through it the circuit entry)
+/// of every distinct artifact key among `jobs[pending[..]]` on `pool`,
+/// before any job runs. Keys are taken in first-appearance order.
+///
+/// Without this phase, grid-order dispatch hands the adjacent jobs that
+/// share a (circuit, testgen) key to different workers at once: all but one
+/// of them block on that entry's build mutex, so distinct keys build almost
+/// one at a time. Here each worker builds its own key; every job afterwards
+/// hits a built entry.
+///
+/// A key that cannot be derived (unknown defender) or built (unknown
+/// circuit) is skipped: its jobs hit the same throw in the job loop and
+/// record it as their error row. Returns the number of keys built.
+std::size_t build_artifacts(const std::vector<JobSpec>& jobs,
+                            const std::vector<std::size_t>& pending,
+                            ArtifactStore& store, ThreadPool& pool) {
+  struct Key {
+    std::string circuit;
+    TestGenOptions testgen;
+  };
+  std::vector<Key> keys;
+  std::unordered_set<std::string> seen;
+  for (const std::size_t i : pending) {
+    const JobSpec r = jobs[i].resolved();
+    TestGenOptions testgen;
+    try {
+      testgen = r.testgen();
+    } catch (const std::exception&) {
+      continue;
+    }
+    if (seen.insert(r.circuit + "|" + testgen_fingerprint(testgen)).second) {
+      keys.push_back(Key{r.circuit, testgen});
+    }
+  }
+  std::atomic<std::size_t> built{0};
+  pool.parallel_for(keys.size(), [&](std::size_t k, std::size_t /*worker*/) {
+    try {
+      store.get_suite(keys[k].circuit, keys[k].testgen);
+    } catch (const std::exception&) {
+      return;  // recorded per job by the job loop
+    }
+    built.fetch_add(1, std::memory_order_relaxed);
+  });
+  return built.load();
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- run
@@ -336,6 +384,7 @@ CampaignRunStats run_campaign(const CampaignGrid& grid,
   ArtifactStore store;
   Mutex io_mu;
   ThreadPool pool(opt.threads);
+  stats.artifact_keys = build_artifacts(jobs, pending, store, pool);
   pool.parallel_for(
       pending.size(), [&](std::size_t k, std::size_t /*worker*/) {
         const JobSpec& spec = jobs[pending[k]];
@@ -489,8 +538,11 @@ std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,
                                                std::size_t threads) {
   const std::vector<JobSpec> jobs = grid.expand();
   std::vector<FlowResult> results(jobs.size());
+  std::vector<std::size_t> all(jobs.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
   ArtifactStore store;
   ThreadPool pool(threads);
+  build_artifacts(jobs, all, store, pool);
   pool.parallel_for(jobs.size(), [&](std::size_t i, std::size_t /*worker*/) {
     const FlowResult r = run_flow_job(jobs[i], store);
     // Round-trip through the wire format: the benches print exactly what a

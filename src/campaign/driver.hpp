@@ -10,9 +10,12 @@
 //  - Across processes: job -> shard by FNV-1a(circuit) % shard_count, so a
 //    whole circuit (and its shared ArtifactStore entries) lands in one
 //    process; `tz_campaign run --shard i/N` runs one shard.
-//  - Across threads: within a shard, jobs fan out on the ThreadPool
-//    (TZ_THREADS-aware); each job runs with job_threads internal threads
-//    (default 1 — parallelism lives at the job level).
+//  - Across threads: within a shard, the pending jobs' distinct artifact
+//    keys (circuit × testgen fingerprint) first build in parallel on the
+//    ThreadPool (TZ_THREADS-aware), one key per worker; then the jobs fan
+//    out on the same pool and find their artifacts built. Each job runs
+//    with job_threads internal threads (default 1 — parallelism lives at
+//    the job level).
 //
 // Checkpointing: each shard appends one JSONL row per finished job to
 // <dir>/shard-<i>-of-<N>.jsonl and flushes per row. On restart the driver
@@ -83,6 +86,8 @@ struct CampaignRunStats {
   std::size_t skipped = 0;     ///< Already checkpointed on entry.
   std::size_t completed = 0;   ///< Newly run this invocation.
   std::size_t failed = 0;      ///< Rows recorded as errors this invocation.
+  std::size_t artifact_keys = 0;  ///< Distinct suite keys the artifact
+                                  ///< phase built for this invocation's jobs.
 };
 
 /// FNV-1a 64-bit over bytes — the deterministic shard hash.
@@ -97,7 +102,8 @@ std::string shard_file(const std::string& dir, std::size_t index,
                        std::size_t count);
 
 /// Run this process's shard of the campaign: expand, skip checkpointed
-/// jobs, fan the rest out on the thread pool, append one JSONL row per job.
+/// jobs, build the pending jobs' distinct artifact keys in parallel, then
+/// fan the jobs out on the thread pool, appending one JSONL row per job.
 /// A job that throws is recorded as an error row (and counted in `failed`)
 /// rather than aborting the shard.
 CampaignRunStats run_campaign(const CampaignGrid& grid,

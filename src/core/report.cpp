@@ -14,6 +14,7 @@ namespace tz {
 void print_table1_row(std::ostream& os, const FlowResult& r,
                       const BenchmarkSpec& paper) {
   const auto flags = os.flags();
+  const auto precision = os.precision();
   os << std::left << std::setw(7) << r.benchmark << std::right << std::fixed
      << std::setprecision(1);
   os << " gates " << std::setw(5) << r.meta.gates << " (paper "
@@ -34,11 +35,13 @@ void print_table1_row(std::ostream& os, const FlowResult& r,
   os << " | Pft " << std::scientific << std::setprecision(1) << r.pft
      << " (paper " << paper.paper_pft << ")\n";
   os.flags(flags);
+  os.precision(precision);
 }
 
 void print_power_triple(std::ostream& os, const FlowResult& r,
                         const BenchmarkSpec& paper) {
   const auto flags = os.flags();
+  const auto precision = os.precision();
   os << std::fixed << std::setprecision(2);
   os << r.benchmark << "\n";
   os << "  dynamic uW  N " << std::setw(8) << r.p_n.dynamic_uw << "  N' "
@@ -52,6 +55,7 @@ void print_power_triple(std::ostream& os, const FlowResult& r,
      << r.p_npp.area_ge << "   (paper totals " << paper.paper_area_n << "/"
      << paper.paper_area_np << "/" << paper.paper_area_npp << ")\n";
   os.flags(flags);
+  os.precision(precision);
 }
 
 }  // namespace tz

@@ -95,6 +95,7 @@ FlowResult run_trojanzero_flow(const std::string& benchmark_name,
 FlowResult run_trojanzero_flow(const std::string& benchmark_name);
 
 /// Print one Table-I-style row: measured values with the paper's numbers.
+/// Both printers restore the stream's flags and precision.
 void print_table1_row(std::ostream& os, const FlowResult& r,
                       const BenchmarkSpec& paper);
 

@@ -37,13 +37,6 @@ fs::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 // The small multi-circuit grid the scheduler tests sweep: two circuits so
 // multi-shard runs exercise both populated and empty shards, two seeds so
 // the suite tier of the ArtifactStore holds more than one entry.
@@ -346,21 +339,36 @@ TEST(CampaignDriver, ResumeAfterInterruptReproducesBytes) {
 }
 
 TEST(CampaignDriver, FailedJobsBecomeErrorRows) {
+  // A bogus defender (testgen() throws) and an unknown circuit
+  // (make_benchmark throws) fail inside their jobs. The artifact phase
+  // skips their keys; the jobs still throw in the job loop and record the
+  // same error rows at every thread count, beside the good row.
   CampaignGrid grid;
-  grid.name = "err";
-  grid.circuits = {"c17"};
-  grid.defenders = {"bogus"};  // testgen() throws inside the job
-  const fs::path dir = scratch_dir("err");
-  CampaignOptions opt;
-  opt.out_dir = dir.string();
-  opt.threads = 1;
-  const CampaignRunStats stats = run_campaign(grid, opt);
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.completed, 0u);
-  const std::vector<CampaignRow> rows =
-      parse_campaign_artifact(merge_campaign(grid, dir.string(), 1));
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_NE(rows[0].error.find("bogus"), std::string::npos);
+  grid.name = "mixed";
+  grid.circuits = {"c17", "no_such_circuit"};
+  grid.defenders = {"atpg", "bogus"};
+  std::string merged[2];
+  const std::size_t threads[2] = {1, 4};
+  for (int t = 0; t < 2; ++t) {
+    const fs::path dir = scratch_dir("mixed" + std::to_string(threads[t]));
+    CampaignOptions opt;
+    opt.out_dir = dir.string();
+    opt.threads = threads[t];
+    const CampaignRunStats stats = run_campaign(grid, opt);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.failed, 3u);
+    EXPECT_EQ(stats.artifact_keys, 1u);  // only c17/atpg builds
+    merged[t] = merge_campaign(grid, dir.string(), 1);
+  }
+  EXPECT_EQ(merged[0], merged[1]);
+
+  const std::vector<CampaignRow> rows = parse_campaign_artifact(merged[0]);
+  ASSERT_EQ(rows.size(), 4u);  // grid order: c17 x {atpg, bogus}, then
+                               // no_such_circuit x {atpg, bogus}
+  EXPECT_TRUE(rows[0].error.empty());
+  EXPECT_NE(rows[1].error.find("bogus"), std::string::npos);
+  EXPECT_NE(rows[2].error.find("no_such_circuit"), std::string::npos);
+  EXPECT_NE(rows[3].error.find("bogus"), std::string::npos);
 }
 
 TEST(CampaignDriver, MergeRequiresEveryShardFile) {
@@ -409,6 +417,55 @@ TEST(CampaignDriver, InMemoryCampaignMatchesCheckpointedRows) {
     EXPECT_EQ(flow_result_to_json(a).dump(),
               flow_result_to_json(rows[i].result).dump());
   }
+}
+
+// Distinct artifact keys (circuit × testgen fingerprint) of jobs [b, e).
+std::size_t distinct_keys(const std::vector<JobSpec>& jobs, std::size_t b,
+                          std::size_t e) {
+  std::vector<std::string> keys;
+  for (std::size_t i = b; i < e; ++i) {
+    const JobSpec r = jobs[i].resolved();
+    keys.push_back(r.circuit + "|" + testgen_fingerprint(r.testgen()));
+  }
+  std::sort(keys.begin(), keys.end());
+  return static_cast<std::size_t>(
+      std::unique(keys.begin(), keys.end()) - keys.begin());
+}
+
+TEST(CampaignDriver, ArtifactPhaseBuildsEachDistinctKeyOfTheRun) {
+  const CampaignGrid grid = small_grid();
+  const fs::path dir = scratch_dir("keys");
+  CampaignOptions opt;
+  opt.out_dir = dir.string();
+  opt.threads = 4;
+  const CampaignRunStats stats = run_campaign(grid, opt);
+  const std::vector<JobSpec> jobs = grid.expand();
+  EXPECT_EQ(stats.artifact_keys, distinct_keys(jobs, 0, jobs.size()));
+  EXPECT_EQ(stats.artifact_keys, 4u);  // 2 circuits x 2 seeds
+
+  // Two HT shapes per (circuit, seed): adjacent job pairs share a key. A
+  // run cut at 2 jobs, and a resumed run cut at 2 more, each build only
+  // the key of their own two jobs.
+  CampaignGrid shapes = small_grid();
+  shapes.trigger_widths = {2, 4};
+  const std::vector<JobSpec> shape_jobs = shapes.expand();
+  const fs::path resume_dir = scratch_dir("keys_resume");
+  opt.out_dir = resume_dir.string();
+  opt.max_jobs = 2;
+  CampaignRunStats part = run_campaign(shapes, opt);
+  EXPECT_EQ(part.completed, 2u);
+  EXPECT_EQ(part.artifact_keys, distinct_keys(shape_jobs, 0, 2));
+  EXPECT_EQ(part.artifact_keys, 1u);
+  part = run_campaign(shapes, opt);
+  EXPECT_EQ(part.skipped, 2u);
+  EXPECT_EQ(part.completed, 2u);
+  EXPECT_EQ(part.artifact_keys, distinct_keys(shape_jobs, 2, 4));
+  EXPECT_EQ(part.artifact_keys, 1u);
+
+  // Nothing pending: nothing built.
+  opt.out_dir = dir.string();
+  opt.max_jobs = 0;
+  EXPECT_EQ(run_campaign(grid, opt).artifact_keys, 0u);
 }
 
 // ------------------------------------------- CampaignChecker corruption

@@ -114,6 +114,22 @@ TEST(Flow, ReportPrintersProduceOutput) {
   EXPECT_NE(os.str().find("Pft"), std::string::npos);
 }
 
+TEST(Flow, ReportPrintersRestoreStreamPrecision) {
+  // A caller streaming after a row must see its own formatting: Table I
+  // prints ATPG coverage right after the row, and an inherited
+  // precision(1) in defaultfloat turned 90% into "9e+01".
+  const FlowResult r;
+  std::ostringstream os;
+  print_table1_row(os, r, spec_for("c432"));
+  os.str("");
+  os << 100.0 * 0.9 << " " << 12.345;
+  EXPECT_EQ(os.str(), "90 12.345");
+  print_power_triple(os, r, spec_for("c432"));
+  os.str("");
+  os << 100.0 * 0.9 << " " << 12.345;
+  EXPECT_EQ(os.str(), "90 12.345");
+}
+
 TEST(Flow, C17SmokeRun) {
   // The tiny real ISCAS circuit exercises the full pipeline even though it
   // has no rare nodes: salvage finds nothing and insertion is refused.

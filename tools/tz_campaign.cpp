@@ -147,10 +147,11 @@ int main(int argc, char** argv) {
       const tz::CampaignRunStats stats = tz::run_campaign(grid, opt);
       std::fprintf(stderr,
                    "tz_campaign: shard %zu/%zu: %zu jobs (%zu skipped, "
-                   "%zu completed, %zu failed) of %zu total\n",
+                   "%zu completed, %zu failed) of %zu total; "
+                   "%zu artifact keys built\n",
                    opt.shard_index, opt.shard_count, stats.shard_jobs,
                    stats.skipped, stats.completed, stats.failed,
-                   stats.total_jobs);
+                   stats.total_jobs, stats.artifact_keys);
       return stats.failed == 0 ? 0 : 1;
     }
     if (cmd == "merge") {

@@ -9,6 +9,8 @@
 #include "atpg/fault_sim_engine.hpp"
 #include "atpg/fault_sim_packed.hpp"
 #include "atpg/test_set.hpp"
+#include "campaign/driver.hpp"
+#include "core/report.hpp"
 #include "gen/iscas.hpp"
 #include "gen/random_circuit.hpp"
 #include "sim/simulator.hpp"
@@ -133,6 +135,138 @@ TEST(PodemEngine, ReusedEngineMatchesOneShotPodem) {
     EXPECT_EQ(reused.pattern, fresh.pattern) << to_string(nl, f);
     EXPECT_EQ(reused.assigned, fresh.assigned) << to_string(nl, f);
   }
+}
+
+// ---- golden PODEM parity ----
+//
+// The digests below were recorded with the Node-walking engine (heap
+// worklist, full-netlist start pass, topo-scan D-frontier) that preceded the
+// compiled-plan PodemEngine. Every field of every PodemResult feeds the hash,
+// so any change to the objective, backtrace or backtrack order shows up here.
+
+void append_u32(std::string& bytes, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// FNV-1a over (status, backtracks, pattern, assigned) of one engine run per
+/// collapsed fault — the generate_atpg_tests access pattern.
+std::uint64_t podem_digest(const Netlist& nl) {
+  PodemEngine engine(nl);
+  std::string bytes;
+  for (const Fault& f : collapse_faults(nl, fault_universe(nl))) {
+    const PodemResult r = engine.run(f);
+    bytes.push_back(static_cast<char>(r.status));
+    append_u32(bytes, static_cast<std::uint32_t>(r.backtracks));
+    append_u32(bytes, static_cast<std::uint32_t>(r.pattern.size()));
+    for (const bool b : r.pattern) bytes.push_back(b ? '1' : '0');
+    for (const char a : r.assigned) bytes.push_back(a);
+  }
+  return fnv1a64(bytes);
+}
+
+/// A DFF sits in a PO's cone: backtrace walks through its d-input while
+/// implication treats its output as X.
+Netlist dff_in_po_cone() {
+  Netlist nl("dff_cone");
+  const std::vector<NodeId> in = test::add_inputs(nl, 5);
+  const NodeId g1 = nl.add_gate(GateType::And, "g1", {in[0], in[1]});
+  const NodeId g2 = nl.add_gate(GateType::Nor, "g2", {g1, in[2]});
+  const NodeId q = nl.add_gate(GateType::Dff, "q", {g2});
+  const NodeId x = nl.add_gate(GateType::Xor, "x", {q, in[3]});
+  const NodeId a = nl.add_gate(GateType::And, "a", {x, in[4], in[0]});
+  const NodeId o = nl.add_gate(GateType::Or, "o", {a, g2});
+  const NodeId n = nl.add_gate(GateType::Nand, "n", {q, in[2]});
+  nl.mark_output(o);
+  nl.mark_output(n);
+  nl.mark_output(q);
+  return nl;
+}
+
+/// MUX plus 3- and 4-input XOR/XNOR/NOR/NAND/OR: the N-ary opcodes.
+Netlist nary_ops() {
+  Netlist nl("nary");
+  const std::vector<NodeId> in = test::add_inputs(nl, 6);
+  const NodeId x3 = nl.add_gate(GateType::Xor, "x3", {in[0], in[1], in[2]});
+  const NodeId n3 = nl.add_gate(GateType::Nor, "n3", {in[2], in[3], in[4]});
+  const NodeId m = nl.add_gate(GateType::Mux, "m", {x3, n3, in[5]});
+  const NodeId a4 =
+      nl.add_gate(GateType::Nand, "a4", {in[0], in[3], in[4], in[5]});
+  const NodeId xn = nl.add_gate(GateType::Xnor, "xn", {m, a4, in[1]});
+  const NodeId o3 = nl.add_gate(GateType::Or, "o3", {x3, n3, a4});
+  const NodeId m2 = nl.add_gate(GateType::Mux, "m2", {in[1], o3, xn});
+  const NodeId b = nl.add_gate(GateType::Buf, "b", {m2});
+  const NodeId dup = nl.add_gate(GateType::Buf, "dup", {m});
+  nl.mark_output(b);
+  nl.mark_output(xn);
+  nl.mark_output(m);
+  nl.mark_output(dup);
+  nl.replace_uses(dup, m);  // m now drives two PO entries
+  nl.remove_node(dup);
+  return nl;
+}
+
+/// Tombstoned nodes (raw_size() != live count), a mid-netlist tie cell and
+/// gates added after the removals.
+Netlist with_dead_nodes() {
+  Netlist nl("dead");
+  const std::vector<NodeId> in = test::add_inputs(nl, 6);
+  const NodeId g1 = nl.add_gate(GateType::And, "g1", {in[0], in[1]});
+  const NodeId g2 = nl.add_gate(GateType::Or, "g2", {in[2], in[3]});
+  const NodeId d1 = nl.add_gate(GateType::Xor, "d1", {g1, g2});
+  nl.add_gate(GateType::Not, "d2", {d1});  // unobserved: swept below
+  const NodeId g3 = nl.add_gate(GateType::Nand, "g3", {g1, in[4]});
+  const NodeId g4 = nl.add_gate(GateType::Nor, "g4", {g2, in[5]});
+  const NodeId g5 = nl.add_gate(GateType::Xor, "g5", {g3, g4});
+  nl.mark_output(g5);
+  nl.sweep_dead_gates();
+  nl.rewire_and_remove(g4, nl.const_node(false));
+  const NodeId g6 = nl.add_gate(GateType::And, "g6", {g5, g2, in[0]});
+  const NodeId g7 = nl.add_gate(GateType::Or, "g7", {g6, g3});
+  nl.mark_output(g7);
+  return nl;
+}
+
+TEST(PodemGolden, DigestsMatchRecordedEngine) {
+  const Netlist dead = with_dead_nodes();
+  ASSERT_NE(dead.raw_size(), dead.live_count());
+  const struct {
+    std::string name;
+    Netlist nl;
+    std::uint64_t digest;
+  } cases[] = {
+      {"c432", make_benchmark("c432"), 0xea44838a49857d0eull},
+      {"c880", make_benchmark("c880"), 0xf0f02d1daee6d878ull},
+      {"c3540", make_benchmark("c3540"), 0x93bcb42bff55a77eull},
+      {"mult8", make_benchmark("mult8"), 0x7c88257fa771f22eull},
+      {"rand1k", make_benchmark("rand1k"), 0xcebdb10d7c3094f8ull},
+      {"dff_cone", dff_in_po_cone(), 0xeea5eb5284afaa50ull},
+      {"nary", nary_ops(), 0xad90878b7a88ad70ull},
+      {"dead", dead, 0x1c6da9c41305ce25ull},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(podem_digest(c.nl), c.digest)
+        << c.name << " 0x" << std::hex << podem_digest(c.nl);
+  }
+}
+
+TEST(PodemGolden, Rand2kCampaignSuite) {
+  // One campaign1k suite key: rand2k, seed 1, the ATPG-only defender.
+  TestGenOptions opt = FlowOptions::atpg_only_defender();
+  opt.seed = 1;
+  const DefenderTestSet ts = generate_atpg_tests(make_benchmark("rand2k"), opt);
+  std::string bits;
+  for (std::size_t p = 0; p < ts.patterns.num_patterns(); ++p) {
+    for (std::size_t s = 0; s < ts.patterns.num_signals(); ++s) {
+      bits.push_back(ts.patterns.get(p, s) ? '1' : '0');
+    }
+  }
+  EXPECT_EQ(ts.patterns.num_patterns(), 80u);
+  EXPECT_EQ(ts.untestable, 0u);
+  EXPECT_EQ(ts.aborted, 24u);
+  EXPECT_EQ(ts.coverage.detected, 3861u);
+  EXPECT_EQ(ts.coverage.total_faults, 4412u);
+  EXPECT_DOUBLE_EQ(ts.coverage.coverage(), 3861.0 / 4412.0);
+  EXPECT_EQ(fnv1a64(bits), 0x987ca65de7b96c68ull) << std::hex << fnv1a64(bits);
 }
 
 TEST(FaultSim, AgreesWithPodemOnDetection) {

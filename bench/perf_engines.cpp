@@ -251,6 +251,23 @@ void BM_PodemPerFault(benchmark::State& state) {
 }
 BENCHMARK(BM_PodemPerFault);
 
+// One engine over every collapsed fault: the generate_atpg_tests access
+// pattern (plan compile and all-X start once, then one run() per target).
+void BM_PodemEngine(benchmark::State& state, const std::string& name) {
+  const tz::Netlist& nl = circuit(name);
+  const auto faults = tz::collapse_faults(nl, tz::fault_universe(nl));
+  for (auto _ : state) {
+    tz::PodemEngine engine(nl);
+    for (const tz::Fault& f : faults) benchmark::DoNotOptimize(engine.run(f));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(faults.size()));
+}
+BENCHMARK_CAPTURE(BM_PodemEngine, c880, "c880")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PodemEngine, rand2k, "rand2k")
+    ->Unit(benchmark::kMillisecond);
+
 void BM_AtpgFlow(benchmark::State& state) {
   const tz::Netlist& nl = circuit("c432");
   for (auto _ : state) {

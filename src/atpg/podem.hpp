@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "atpg/fault.hpp"
+#include "sim/eval_plan.hpp"
 #include "sim/patterns.hpp"
-#include "sim/rank_worklist.hpp"
 
 namespace tz {
 
@@ -33,27 +33,55 @@ struct PodemResult {
   int backtracks = 0;
 };
 
-/// Reusable PODEM engine: binds a netlist once (topological order, ranks,
-/// three-valued machine scratch) and serves one fault per run() call. The
-/// forward implication is event-driven — after a PI decision only the PI's
-/// fanout cone is re-evaluated, against full-netlist passes in the classic
-/// formulation — but the search (objective, backtrace, backtracking) is
-/// unchanged, so run() returns exactly what the free podem() always has.
-/// ATPG loops that target many faults on one netlist should hold one engine.
+/// Reusable PODEM engine: compiles the netlist into an EvalPlan once and
+/// serves one fault per run() call. Both three-valued machines live in
+/// plan-slot order, so slot ids are topological ranks and implication walks
+/// the plan's opcode stream and CSR fanin/fanout arrays, never Node objects.
+/// A slot's good and faulty values share one byte (a "may be 0" and a "may
+/// be 1" bit per machine, X = both), so one pass over the fanins evaluates
+/// the two machines together.
+///
+///  - Cached all-X start: the good machine with every PI at X does not
+///    depend on the fault, so it is computed once here; run() copies it into
+///    both machines and implies from the fault slot alone.
+///  - Wavefront queue: implication pushes only to readers of the popped
+///    slot, which have higher slot ids, so a queued-bit scan upward from the
+///    lowest seed word pops lowest-rank first at O(1) per event.
+///  - D-frontier bitset: every slot implication pops has its frontier bit
+///    refreshed (membership depends on its fanins as well as its own value);
+///    the lowest set bit is the first frontier gate in topological order.
+///    A counter of erroring PO entries replaces the per-decision PO scan.
+///
+/// The search itself (objective, backtrace, backtracking) is the classic
+/// one; backtrace follows a DFF output to its d-input through the netlist,
+/// since the plan compiles that edge out, and treats a walk that circles a
+/// sequential loop as a dead end, like a tie cell. ATPG loops that target
+/// many faults on one netlist should hold one engine.
 class PodemEngine {
  public:
   /// The netlist must outlive the engine and stay structurally unchanged.
   explicit PodemEngine(const Netlist& nl);
 
+  /// Throws std::invalid_argument when the fault site is not a live node.
   PodemResult run(const Fault& fault, const PodemOptions& opt = {});
 
  private:
+  void push(SlotId s);
+  /// Drain the wavefront queue: evaluate every queued slot, lowest first.
+  void imply(SlotId fault_slot, std::uint8_t stuck);
+  SlotId first_frontier_gate();
+
   const Netlist* nl_;
-  std::vector<NodeId> order_;
-  std::vector<std::uint32_t> rank_;
-  std::vector<std::uint8_t> good_, faulty_;  // three-valued: 0, 1, 2 = X
-  std::vector<int> pi_assign_;               // -1 = X, else 0/1
-  RankWorklist worklist_{rank_};
+  EvalPlan plan_;
+  std::vector<std::uint8_t> all_x_;     // both machines, every PI at X
+  std::vector<std::uint8_t> val_;       // packed good/faulty pair per slot
+  std::vector<std::int8_t> pi_assign_;  // -1 = X, else 0/1
+  std::vector<char> is_input_;
+  std::vector<std::uint32_t> po_uses_;  // PO entries each slot drives
+  std::size_t po_errors_ = 0;           // PO entries with good != faulty
+  std::vector<std::uint64_t> queued_, frontier_;
+  std::size_t queued_lo_ = 0, queued_hi_ = 0;  // words pushes touched
+  std::size_t frontier_lo_ = 0;  // frontier_ words below this are zero
 };
 
 /// Generate a test for one stuck-at fault on a combinational netlist.

@@ -48,6 +48,7 @@ const CircuitArtifacts& ArtifactStore::get_circuit(const std::string& name) {
     entry = slot.get();
   }
   MutexLock build(entry->build_mu);
+  if (entry->error) std::rethrow_exception(entry->error);
   if (!entry->built) {
     CircuitArtifacts& art = entry->art;
     art.name = name;
@@ -57,10 +58,16 @@ const CircuitArtifacts& ArtifactStore::get_circuit(const std::string& name) {
     // job's salvage derives via `original_->compact()` — compact() is
     // deterministic, so the oracle seed built on it is id-identical to the
     // job's work netlist.
-    art.netlist = make_benchmark(name);
-    art.compacted = art.netlist.compact();
-    art.golden_totals = pm_.analyze(art.netlist).totals;
+    try {
+      art.netlist = make_benchmark(name);
+      art.compacted = art.netlist.compact();
+      art.golden_totals = pm_.analyze(art.netlist).totals;
+    } catch (...) {
+      entry->error = std::current_exception();
+      throw;
+    }
     entry->built = true;
+    circuits_built_.fetch_add(1);
   }
   return entry->art;
 }
@@ -80,21 +87,28 @@ const SuiteArtifacts& ArtifactStore::get_suite(const std::string& circuit,
     entry = slot.get();
   }
   MutexLock build(entry->build_mu);
+  if (entry->error) std::rethrow_exception(entry->error);
   if (!entry->built) {
     SuiteArtifacts& art = entry->art;
     art.circuit = &cart;
-    art.suite = make_defender_suite(cart.netlist, opt);
-    if (!art.suite.algorithms.empty()) {
-      art.atpg_coverage = art.suite.algorithms.front().coverage.coverage();
+    try {
+      art.suite = make_defender_suite(cart.netlist, opt);
+      if (!art.suite.algorithms.empty()) {
+        art.atpg_coverage = art.suite.algorithms.front().coverage.coverage();
+      }
+      // The shared oracle: compiled plan + fused golden rows, built once, on
+      // the compacted twin so its slot-major caches line up node-for-node
+      // with the `original_->compact()` every job's salvage performs.
+      // Sequential circuits (DFFs) get no oracle — the flow's
+      // functional_test fallback has nothing to share.
+      auto oracle = std::make_unique<SuiteOracle>(cart.compacted, art.suite);
+      if (!oracle->sequential()) art.oracle = std::move(oracle);
+    } catch (...) {
+      entry->error = std::current_exception();
+      throw;
     }
-    // The shared oracle: compiled plan + fused golden rows, built once, on
-    // the compacted twin so its slot-major caches line up node-for-node
-    // with the `original_->compact()` every job's salvage performs.
-    // Sequential circuits (DFFs) get no oracle — the flow's functional_test
-    // fallback has nothing to share.
-    auto oracle = std::make_unique<SuiteOracle>(cart.compacted, art.suite);
-    if (!oracle->sequential()) art.oracle = std::move(oracle);
     entry->built = true;
+    suites_built_.fetch_add(1);
   }
   return entry->art;
 }
@@ -109,16 +123,6 @@ SharedArtifacts ArtifactStore::get_job_inputs(const std::string& circuit,
   out.shared.salvage_oracle = suite.oracle.get();
   out.shared.golden_totals = &suite.circuit->golden_totals;
   return out;
-}
-
-std::size_t ArtifactStore::circuit_count() const {
-  MutexLock lk(mu_);
-  return circuits_.size();
-}
-
-std::size_t ArtifactStore::suite_count() const {
-  MutexLock lk(mu_);
-  return suites_.size();
 }
 
 }  // namespace tz

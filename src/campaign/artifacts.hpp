@@ -23,15 +23,19 @@
 // Thread safety: any number of jobs may call get_circuit / get_suite
 // concurrently. The store uses one mutex for the maps plus a per-entry
 // build mutex: two racing requests for the same key build it exactly once,
-// and requests for different keys do not block each other. The store does
-// not schedule builds: workers that request keys in grid order mostly wait
-// on one key's build mutex, so the campaign driver requests each distinct
-// key from its own worker before any job runs. Handed-out references stay
-// valid for the life of the store (entries are never evicted; a
-// campaign's working set is its distinct keys, which is small by design).
+// and requests for different keys do not block each other. A build that
+// throws is not retried: the entry keeps the exception and every later
+// request for the key rethrows it. The store does not schedule builds:
+// workers that request keys in grid order mostly wait on one key's build
+// mutex, so the campaign driver requests each distinct key from its own
+// worker before any job runs. Handed-out references stay valid for the life
+// of the store (entries are never evicted; a campaign's working set is its
+// distinct keys, which is small by design).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -87,7 +91,7 @@ class ArtifactStore {
 
   /// Tier-1 lookup: builds the circuit entry on first use, returns the
   /// shared entry afterwards. Throws what make_benchmark throws on an
-  /// unknown name.
+  /// unknown name, on the first request and every later one.
   const CircuitArtifacts& get_circuit(const std::string& name);
 
   /// Tier-2 lookup: builds (suite + oracle) for this circuit/defender
@@ -101,24 +105,27 @@ class ArtifactStore {
   SharedArtifacts get_job_inputs(const std::string& circuit,
                                  const TestGenOptions& testgen);
 
-  /// Number of built entries (observability + tests).
-  std::size_t circuit_count() const;
-  std::size_t suite_count() const;
+  /// Number of successfully built entries (observability + tests).
+  std::size_t circuit_count() const { return circuits_built_.load(); }
+  std::size_t suite_count() const { return suites_built_.load(); }
 
  private:
   struct CircuitEntry {
     Mutex build_mu;
     bool built TZ_GUARDED_BY(build_mu) = false;
+    std::exception_ptr error TZ_GUARDED_BY(build_mu);  ///< Failed build.
     CircuitArtifacts art;
   };
   struct SuiteEntry {
     Mutex build_mu;
     bool built TZ_GUARDED_BY(build_mu) = false;
+    std::exception_ptr error TZ_GUARDED_BY(build_mu);  ///< Failed build.
     SuiteArtifacts art;
   };
 
   PowerModel pm_;
-  mutable Mutex mu_;
+  std::atomic<std::size_t> circuits_built_{0}, suites_built_{0};
+  Mutex mu_;
   /// node-stable maps: references into entries survive later insertions.
   std::map<std::string, std::unique_ptr<CircuitEntry>> circuits_
       TZ_GUARDED_BY(mu_);

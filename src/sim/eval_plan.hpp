@@ -12,7 +12,9 @@
 // The slot order IS the topological order, so slot ids double as topological
 // ranks for the event-driven engines (fault simulation, the suite oracle):
 // their rank worklists pop plan slots and evaluate through eval_plan_slot
-// instead of walking Node objects. sim/gate_eval.hpp stays as the reference
+// instead of walking Node objects. PodemEngine keeps its three-valued
+// machines in slot order too and pops its implication wavefront from a
+// slot-indexed bitset. sim/gate_eval.hpp stays as the reference
 // kernel; the parity tests check the plan against it bit for bit.
 //
 // Plans support incremental patching (SuiteOracle::resync_structure): an

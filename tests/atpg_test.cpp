@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <gtest/gtest.h>
 
@@ -247,6 +248,34 @@ TEST(PodemGolden, DigestsMatchRecordedEngine) {
     EXPECT_EQ(podem_digest(c.nl), c.digest)
         << c.name << " 0x" << std::hex << podem_digest(c.nl);
   }
+}
+
+TEST(Podem, BacktraceAroundDffLoopEndsInBacktrack) {
+  // q = DFF(NOT(q)) feeds o = AND(q, a). Propagating a/sa0 needs q = 1, and
+  // backtrace from q circles the DFF loop: it must give up on that path
+  // rather than walk it forever.
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId nb = nl.add_gate(GateType::Not, "nb", {b});
+  const NodeId q = nl.add_gate(GateType::Dff, "q", {nb});
+  const NodeId nq = nl.add_gate(GateType::Not, "nq", {q});
+  nl.relink_fanin(q, 0, nq);
+  const NodeId o = nl.add_gate(GateType::And, "o", {q, a});
+  nl.mark_output(o);
+  const PodemResult r = podem(nl, Fault{a, StuckAt::Zero});
+  EXPECT_EQ(r.status, PodemStatus::Untestable);
+  EXPECT_EQ(r.backtracks, 1);
+}
+
+TEST(Podem, RejectsFaultOnRemovedNode) {
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  nl.mark_output(nl.add_gate(GateType::And, "g", {a, b}));
+  const NodeId unread = nl.add_gate(GateType::Not, "unread", {a});
+  nl.sweep_dead_gates();
+  EXPECT_THROW(podem(nl, Fault{unread, StuckAt::Zero}), std::invalid_argument);
 }
 
 TEST(PodemGolden, Rand2kCampaignSuite) {

@@ -166,6 +166,27 @@ TEST(CampaignArtifacts, StoreBuildsOnceAndSharesAcrossJobs) {
   EXPECT_EQ(store.suite_count(), 2u);
 }
 
+TEST(CampaignArtifacts, FailedBuildIsCachedAndNotCounted) {
+  // A build that throws runs once: later requests rethrow the same error,
+  // and the counters report built entries only.
+  ArtifactStore store;
+  std::string first;
+  for (int i = 0; i < 3; ++i) {
+    try {
+      store.get_circuit("no_such_circuit");
+      ADD_FAILURE() << "get_circuit accepted an unknown circuit";
+    } catch (const std::exception& e) {
+      if (i == 0) first = e.what();
+      EXPECT_EQ(e.what(), first);
+    }
+  }
+  EXPECT_NE(first.find("no_such_circuit"), std::string::npos);
+  EXPECT_THROW(store.get_suite("no_such_circuit", TestGenOptions{}),
+               std::exception);
+  EXPECT_EQ(store.circuit_count(), 0u);
+  EXPECT_EQ(store.suite_count(), 0u);
+}
+
 TEST(CampaignArtifacts, SharedJobBitIdenticalToColdFlow) {
   // The core artifact-layer contract: a job run against the shared store
   // (seeded oracle, cached suite/netlist/power) produces byte-for-byte the

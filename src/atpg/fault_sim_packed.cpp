@@ -24,7 +24,7 @@ PackedFaultSimEngine::PackedFaultSimEngine(const Netlist& nl,
 
 void PackedFaultSimEngine::sync_scratch() {
   if (synced_structure_ != ctx_->structure_epoch()) {
-    plan_ = &ctx_->packed_plan();
+    plan_ = &ctx_->plan();
     matrix_.assign(plan_->num_slots() * kBlock, 0);
     acc_.assign(kBlock, 0);
     synced_structure_ = ctx_->structure_epoch();

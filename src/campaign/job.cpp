@@ -10,7 +10,6 @@
 #include "core/ht_library.hpp"
 #include "core/trigger_prob.hpp"
 #include "gen/iscas.hpp"
-#include "sim/eval_plan.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/verify.hpp"
 
@@ -136,7 +135,6 @@ FlowResult run_flow_common(const std::string& benchmark_name,
   for (const DefenderTestSet& ts : r.suite.algorithms) {
     r.meta.suite_patterns.push_back(ts.patterns.num_patterns());
   }
-  r.meta.eval_plan = eval_plan_enabled();
   r.meta.fault_mode = std::string(to_string(fault_sim_mode()));
   r.meta.threads = resolve_threads(options.threads);
   r.meta.wall_ms =

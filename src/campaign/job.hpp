@@ -5,8 +5,9 @@
 // salvage order. run_flow_job(spec, artifacts) is the pure function the
 // scheduler layer (campaign/driver.hpp) fans out: same spec + same artifact
 // content => bit-identical FlowResult, at every thread count, shard count
-// and TZ_EVAL_PLAN / TZ_FAULT_MODE setting that the engine stack already
-// guarantees bit-identity for.
+// and TZ_FAULT_MODE setting that the engine stack already guarantees
+// bit-identity for. FlowMeta.eval_plan is always true and stays on the wire
+// so merged campaign digests keep their bytes.
 //
 // FlowResult rows travel as JSON (flow_result_to_json / _from_json): every
 // scalar and record field round-trips; the two Netlist members (original,

@@ -52,7 +52,7 @@ struct FlowMeta {
   std::size_t outputs = 0;      ///< Primary outputs of N.
   /// Per-defender-algorithm pattern counts, suite order.
   std::vector<std::size_t> suite_patterns;
-  bool eval_plan = true;        ///< TZ_EVAL_PLAN mode the flow ran under.
+  bool eval_plan = true;        ///< Always true (compiled-plan engines); kept on the wire.
   std::string fault_mode;       ///< Resolved FaultSimMode ("auto"/...).
   std::size_t threads = 0;      ///< Resolved worker count for the scans.
   double wall_ms = 0.0;         ///< End-to-end job wall time (volatile).

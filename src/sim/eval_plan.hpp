@@ -22,9 +22,8 @@
 // fanin CSR entries in place and tombstones the swept cone's slots, so
 // per-candidate judging never recompiles the plan.
 //
-// The TZ_EVAL_PLAN environment variable (default on; set 0 to disable)
-// selects between the compiled-plan path and the legacy Node-walking path in
-// every engine; both produce bit-identical results.
+// The plan is the only evaluator of every bit-parallel engine; the committed
+// goldens (bench/golden/, the digest tests) pin its outputs.
 #pragma once
 
 #include <cstdint>
@@ -65,11 +64,10 @@ enum class EvalOp : std::uint8_t {
   Dead,  ///< Patched-out slot (swept cone): never evaluated or scheduled.
 };
 
-/// Plan path on/off: TZ_EVAL_PLAN env (default on; "0" disables), overridable
-/// in-process for A/B tests. Engines capture the mode at construction.
-bool eval_plan_enabled();
-/// Test hook: 0 = force legacy, 1 = force plan, -1 = back to the env var.
-void set_eval_plan_enabled(int mode);
+/// Always true: every engine runs on the compiled plan. Kept because the
+/// benchmark harness (perfbench/src/workloads.cpp) stamps it into
+/// FlowMeta.eval_plan, a wire field the pinned campaign digests include.
+inline bool eval_plan_enabled() { return true; }
 
 class EvalPlan {
  public:

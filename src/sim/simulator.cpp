@@ -10,20 +10,12 @@
 namespace tz {
 
 BitSimulator::BitSimulator(const Netlist& nl)
-    : nl_(&nl), order_(nl.topo_order()) {
-  if (eval_plan_enabled()) plan_ = std::make_shared<EvalPlan>(nl, order_);
-}
+    : nl_(&nl), plan_(std::make_shared<EvalPlan>(nl)) {}
 
 BitSimulator::BitSimulator(const Netlist& nl,
                            std::shared_ptr<const EvalPlan> plan)
     : nl_(&nl), plan_(std::move(plan)) {
-  // The plan's slot order is the topological order; recomputing the sort
-  // here would double the construction cost of every plan-sharing owner.
-  if (plan_) {
-    order_ = plan_->topo_nodes();
-  } else {
-    order_ = nl.topo_order();
-  }
+  if (!plan_) throw std::invalid_argument("BitSimulator: null plan");
 }
 
 NodeValues BitSimulator::run(const PatternSet& inputs,
@@ -46,93 +38,53 @@ void BitSimulator::run_into(NodeValues& vals, const PatternSet& inputs,
   }
   const std::size_t words = inputs.num_words();
 
-  if (plan_) {
-    // Reuse is shape-equality: same plan, same width, and the same stripe
-    // decision the requested layout would make on a fresh matrix. Every slot
-    // row is rewritten by the scatter + evaluate below, so stale values
-    // cannot leak.
-    const bool want_striped = layout != ValueLayout::Contiguous && words > 1 &&
-                              plan_->block_words(words) < words;
-    if (vals.plan() != plan_.get() || vals.num_words() != words ||
-        vals.striped() != want_striped) {
-      vals = NodeValues(plan_, words, layout);
-    }
-    // Compiled path: scatter the source rows into the slot-major matrix and
-    // walk the opcode stream once (blocked over word stripes inside).
-    std::uint64_t* base = vals.data();
-    const std::vector<SlotId>& in_slots = plan_->input_slots();
-    const std::vector<SlotId>& dff_slots = plan_->dff_slots();
-    if (vals.striped()) {
-      // Stripe-major: source row r of stripe [w0, w0+wb) lives at
-      // stripe_base + r * wb. One pass per stripe keeps the writes as
-      // sequential as the evaluation that follows.
-      const std::size_t sw = vals.stripe_words();
-      const std::size_t slots = plan_->num_slots();
-      for (std::size_t w0 = 0; w0 < words; w0 += sw) {
-        const std::size_t wb = std::min(sw, words - w0);
-        std::uint64_t* sb = base + slots * w0;
-        for (std::size_t i = 0; i < in_slots.size(); ++i) {
-          auto src = inputs.words(i);
-          std::copy_n(src.data() + w0, wb, sb + std::size_t{in_slots[i]} * wb);
-        }
-        for (std::size_t i = 0; i < dff_slots.size(); ++i) {
-          std::fill_n(sb + std::size_t{dff_slots[i]} * wb, wb,
-                      dff_state ? (*dff_state)[i] : 0);
-        }
+  // Reuse is shape-equality: same plan, same width, and the same stripe
+  // decision the requested layout would make on a fresh matrix. Every slot
+  // row is rewritten by the scatter + evaluate below, so stale values cannot
+  // leak.
+  const bool want_striped = layout != ValueLayout::Contiguous && words > 1 &&
+                            plan_->block_words(words) < words;
+  if (vals.plan() != plan_.get() || vals.num_words() != words ||
+      vals.striped() != want_striped) {
+    vals = NodeValues(plan_, words, layout);
+  }
+  // Scatter the source rows into the slot-major matrix and walk the opcode
+  // stream once (blocked over word stripes inside).
+  std::uint64_t* base = vals.data();
+  const std::vector<SlotId>& in_slots = plan_->input_slots();
+  const std::vector<SlotId>& dff_slots = plan_->dff_slots();
+  if (vals.striped()) {
+    // Stripe-major: source row r of stripe [w0, w0+wb) lives at
+    // stripe_base + r * wb. One pass per stripe keeps the writes as
+    // sequential as the evaluation that follows.
+    const std::size_t sw = vals.stripe_words();
+    const std::size_t slots = plan_->num_slots();
+    for (std::size_t w0 = 0; w0 < words; w0 += sw) {
+      const std::size_t wb = std::min(sw, words - w0);
+      std::uint64_t* sb = base + slots * w0;
+      for (std::size_t i = 0; i < in_slots.size(); ++i) {
+        auto src = inputs.words(i);
+        std::copy_n(src.data() + w0, wb, sb + std::size_t{in_slots[i]} * wb);
       }
-      plan_->evaluate_striped(base, words);
-      return;
+      for (std::size_t i = 0; i < dff_slots.size(); ++i) {
+        std::fill_n(sb + std::size_t{dff_slots[i]} * wb, wb,
+                    dff_state ? (*dff_state)[i] : 0);
+      }
     }
-    for (std::size_t i = 0; i < in_slots.size(); ++i) {
-      auto src = inputs.words(i);
-      std::copy(src.begin(), src.end(),
-                base + std::size_t{in_slots[i]} * words);
-    }
-    for (std::size_t i = 0; i < dff_slots.size(); ++i) {
-      // The matrix is allocated uninitialized; DFF source rows must be
-      // seeded either way (reset state is all-zero).
-      std::fill_n(base + std::size_t{dff_slots[i]} * words, words,
-                  dff_state ? (*dff_state)[i] : 0);
-    }
-    plan_->evaluate(base, words);
+    plan_->evaluate_striped(base, words);
     return;
   }
-
-  if (vals.plan() != nullptr || vals.num_rows() != nl.raw_size() ||
-      vals.num_words() != words || vals.striped()) {
-    vals = NodeValues(nl.raw_size(), words);
-  }
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+  for (std::size_t i = 0; i < in_slots.size(); ++i) {
     auto src = inputs.words(i);
-    std::uint64_t* dst = vals.row(nl.inputs()[i]);
-    std::copy(src.begin(), src.end(), dst);
+    std::copy(src.begin(), src.end(), base + std::size_t{in_slots[i]} * words);
   }
-  // DFF rows are seeded unconditionally: a fresh matrix starts zeroed, but a
-  // reused one may hold a previous run's state.
-  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-    std::uint64_t* dst = vals.row(nl.dffs()[i]);
-    const std::uint64_t v = dff_state ? (*dff_state)[i] : 0;
-    for (std::size_t w = 0; w < words; ++w) dst[w] = v;
+  for (std::size_t i = 0; i < dff_slots.size(); ++i) {
+    // The matrix is allocated uninitialized (or reused); DFF source rows must
+    // be seeded either way (reset state is all-zero).
+    std::fill_n(base + std::size_t{dff_slots[i]} * words, words,
+                dff_state ? (*dff_state)[i] : 0);
   }
-  // Node-major: one pass over the topological order with the word loop
-  // innermost, so each gate is a straight-line bitwise kernel over its rows.
-  // At one word the row loops cost more than they save; use the register
-  // accumulating scalar kernel directly.
-  if (words == 1) {
-    for (NodeId id : order_) {
-      const Node& n = nl.node(id);
-      if (n.type == GateType::Input || n.type == GateType::Dff) continue;
-      vals.row(id)[0] =
-          eval_gate_word(n, [&](NodeId f) { return vals.row(f)[0]; });
-    }
-    return;
-  }
-  for (NodeId id : order_) {
-    const Node& n = nl.node(id);
-    if (n.type == GateType::Input || n.type == GateType::Dff) continue;
-    eval_gate_row(
-        n, words, [&](NodeId f) { return vals.row(f); }, vals.row(id));
-  }
+  plan_->evaluate(base, words);
 }
 
 PatternSet BitSimulator::outputs(const PatternSet& inputs) const {

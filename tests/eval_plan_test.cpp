@@ -1,8 +1,9 @@
 // Tests for the compiled evaluation plan (sim/eval_plan.hpp): structural
 // compile invariants, randomized bit-parity of the plan kernels against the
-// eval_gate_row reference across the full gate alphabet and arity range,
-// cross-mode equality of the engines that consume plans, and the incremental
-// plan patch applied by SuiteOracle::resync_structure after committed ties.
+// eval_gate_row reference across the full gate alphabet and arity range, a
+// golden digest of the event fault-simulation engine that consumes plans,
+// and the incremental plan patch applied by SuiteOracle::resync_structure
+// after committed ties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,8 +31,6 @@
 
 namespace tz {
 namespace {
-
-using test::PlanModeGuard;
 
 /// Random netlist over the full combinational alphabet: Buf/Not (arity 1),
 /// the four AND/OR families and XOR/XNOR at arities 2..8, MUX, and both tie
@@ -107,26 +106,20 @@ TEST(EvalPlan, CompileInvariants) {
 }
 
 TEST(EvalPlan, RandomizedParityWithGateEvalRow) {
-  // The compiled walk must be bit-identical to the legacy eval_gate_row
-  // evaluator on every node row — including the 1-word register fast path
-  // and the tail-mask boundaries at 63/64/65 patterns.
+  // The compiled walk must be bit-identical to the Node-walking
+  // eval_gate_row/eval_gate_word reference on every node row — including the
+  // 1-word register fast path and the tail-mask boundaries at 63/64/65
+  // patterns.
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const Netlist nl = random_full_alphabet(seed, 120);
     for (std::size_t patterns : {1u, 63u, 64u, 65u, 200u}) {
       const PatternSet ps =
           random_patterns(nl.inputs().size(), patterns, seed * 97 + patterns);
-      NodeValues legacy, plan;
-      {
-        PlanModeGuard guard(0);
-        legacy = BitSimulator(nl).run(ps);
-      }
-      {
-        PlanModeGuard guard(1);
-        plan = BitSimulator(nl).run(ps);
-      }
+      const auto ref = test::reference_rows(nl, ps);
+      const NodeValues plan = BitSimulator(nl).run(ps);
       for (NodeId id = 0; id < nl.raw_size(); ++id) {
         if (!nl.is_alive(id)) continue;
-        const std::uint64_t* a = legacy.row(id);
+        const std::uint64_t* a = ref[id].data();
         const std::uint64_t* b = plan.row(id);
         for (std::size_t w = 0; w < ps.num_words(); ++w) {
           ASSERT_EQ(a[w], b[w])
@@ -138,9 +131,9 @@ TEST(EvalPlan, RandomizedParityWithGateEvalRow) {
   }
 }
 
-TEST(EvalPlan, DffStateRowsMatchAcrossModes) {
+TEST(EvalPlan, DffStateRowsMatchReference) {
   // DFF outputs are plan sources; both the explicit-state and the
-  // reset-to-zero fills must match the legacy path bit for bit.
+  // reset-to-zero fills must match the Node-walking reference bit for bit.
   Netlist nl("seq");
   const NodeId a = nl.add_input("a");
   const NodeId q0 = nl.add_gate(GateType::Dff, "q0", {a});
@@ -152,49 +145,32 @@ TEST(EvalPlan, DffStateRowsMatchAcrossModes) {
   const std::vector<std::uint64_t> state = {~std::uint64_t{0}, 0};
   for (const std::vector<std::uint64_t>* st :
        {static_cast<const std::vector<std::uint64_t>*>(nullptr), &state}) {
-    NodeValues legacy, plan;
-    {
-      PlanModeGuard guard(0);
-      legacy = BitSimulator(nl).run(ps, st);
-    }
-    {
-      PlanModeGuard guard(1);
-      plan = BitSimulator(nl).run(ps, st);
-    }
+    const auto ref = test::reference_rows(nl, ps, st);
+    const NodeValues plan = BitSimulator(nl).run(ps, st);
     for (NodeId id : {a, q0, x, q1, o}) {
       for (std::size_t w = 0; w < ps.num_words(); ++w) {
-        ASSERT_EQ(legacy.row(id)[w], plan.row(id)[w]);
+        ASSERT_EQ(ref[id][w], plan.row(id)[w]);
       }
     }
   }
 }
 
-TEST(EvalPlan, FaultSimEngineMatchesAcrossModes) {
+TEST(EvalPlan, FaultSimEngineMatchesGolden) {
+  // Detect flags plus a sample of per-pattern detection bitmaps across the
+  // 63/64/65-pattern word boundaries, digested. Recorded when the
+  // Node-walking evaluator still ran beside the compiled plan (both agreed).
   const Netlist nl = make_benchmark("c880");
   const auto faults = collapse_faults(nl, fault_universe(nl));
+  test::Digest d;
   for (std::size_t patterns : {63u, 64u, 65u, 128u}) {
     const PatternSet ps = random_patterns(nl.inputs().size(), patterns, 5);
-    std::vector<bool> legacy_det, plan_det;
-    std::vector<std::vector<std::uint64_t>> legacy_bits, plan_bits;
-    {
-      PlanModeGuard guard(0);
-      FaultSimEngine engine(nl, ps);
-      legacy_det = engine.simulate(faults);
-      for (std::size_t i = 0; i < faults.size(); i += 97) {
-        legacy_bits.push_back(engine.detection_bits(faults[i]));
-      }
+    FaultSimEngine engine(nl, ps);
+    d.flags(engine.simulate(faults));
+    for (std::size_t i = 0; i < faults.size(); i += 97) {
+      d.words(engine.detection_bits(faults[i]));
     }
-    {
-      PlanModeGuard guard(1);
-      FaultSimEngine engine(nl, ps);
-      plan_det = engine.simulate(faults);
-      for (std::size_t i = 0; i < faults.size(); i += 97) {
-        plan_bits.push_back(engine.detection_bits(faults[i]));
-      }
-    }
-    EXPECT_EQ(legacy_det, plan_det) << patterns << " patterns";
-    EXPECT_EQ(legacy_bits, plan_bits) << patterns << " patterns";
   }
+  EXPECT_EQ(d.value(), 0xd6ed93f529cc4b42ull) << std::hex << "0x" << d.value();
 }
 
 TEST(EvalPlan, PlanPatchAfterCommitMatchesRecompile) {
@@ -202,7 +178,6 @@ TEST(EvalPlan, PlanPatchAfterCommitMatchesRecompile) {
   // source, reader fanin CSR rewritten, swept cone tombstoned). After every
   // commit the patched oracle must judge exactly like a from-scratch oracle
   // compiled on the mutated netlist — and like the full functional test.
-  PlanModeGuard guard(1);
   const Netlist original = make_benchmark("c880");
   const DefenderSuite suite =
       make_defender_suite(original, FlowOptions::atpg_only_defender());
@@ -266,11 +241,9 @@ TEST(StripeLayout, StripedRunMatchesContiguous) {
   // engines use (bit, segment, copy_row, copy_slot_row) must read the same
   // values as a contiguous run; row() must refuse to hand out a pointer into
   // a split row.
-  PlanModeGuard guard(1);
   const Netlist nl = random_full_alphabet(11, 2000);
   BitSimulator sim(nl);
-  ASSERT_NE(sim.plan(), nullptr);
-  const std::size_t words = sim.plan()->block_words(1u << 20) * 2 + 3;
+  const std::size_t words = sim.plan().block_words(1u << 20) * 2 + 3;
   const PatternSet ps =
       random_patterns(nl.inputs().size(), 64 * words - 17, 0x57717E);
   const NodeValues contig = sim.run(ps, nullptr, ValueLayout::Contiguous);
@@ -279,7 +252,7 @@ TEST(StripeLayout, StripedRunMatchesContiguous) {
   ASSERT_FALSE(contig.striped());
   ASSERT_TRUE(striped.striped());
   ASSERT_TRUE(autoed.striped());
-  EXPECT_EQ(striped.stripe_words(), sim.plan()->block_words(ps.num_words()));
+  EXPECT_EQ(striped.stripe_words(), sim.plan().block_words(ps.num_words()));
   EXPECT_THROW(striped.row(nl.outputs()[0]), std::logic_error);
   std::vector<std::uint64_t> gathered(ps.num_words());
   for (NodeId id : nl.live_nodes()) {
@@ -316,11 +289,9 @@ TEST(StripeLayout, GenericKernelMatchesDispatched) {
   // must reproduce what the dispatched kernel (AVX2 where available) wrote:
   // the evaluation only reads source rows, so running it twice is idempotent
   // and any SIMD-vs-scalar divergence shows as a diff.
-  PlanModeGuard guard(1);
   const Netlist nl = random_full_alphabet(23, 1500);
   BitSimulator sim(nl);
-  ASSERT_NE(sim.plan(), nullptr);
-  const EvalPlan& plan = *sim.plan();
+  const EvalPlan& plan = sim.plan();
   const std::size_t words = plan.block_words(1u << 20) * 2 + 9;
   const PatternSet ps = random_patterns(nl.inputs().size(), 64 * words, 0xD1);
   NodeValues vals = sim.run(ps, nullptr, ValueLayout::Striped);
@@ -340,7 +311,6 @@ TEST(StripeLayout, GenericKernelMatchesDispatched) {
 }
 
 TEST(StripeLayout, RunIntoReusesStorageAndMatchesRun) {
-  PlanModeGuard guard(1);
   const Netlist nl = make_benchmark("c3540");
   BitSimulator sim(nl);
   const PatternSet a = random_patterns(nl.inputs().size(), 640, 1);
@@ -367,24 +337,39 @@ TEST(StripeLayout, RunIntoReusesStorageAndMatchesRun) {
   }
 }
 
-TEST(StripeLayout, RunIntoReseedsDffRowsOnLegacyPath) {
-  // Regression: the legacy path used to rely on the fresh matrix being
-  // zeroed for the no-state DFF fill; a reused matrix must not leak the
-  // previous run's DFF state.
-  PlanModeGuard guard(0);
+TEST(StripeLayout, RunIntoReseedsDffRows) {
+  // A reused matrix must not leak the previous run's DFF state into a
+  // reset-state run, on either layout. The buffer chain pads the plan so a
+  // modest pattern count already splits the row into stripes.
   Netlist nl("seq");
   const NodeId in = nl.add_input("in");
   const NodeId q = nl.add_gate(GateType::Dff, "q", {in});
   const NodeId o = nl.add_gate(GateType::Or, "o", {in, q});
   nl.mark_output(o);
+  NodeId pad = in;
+  for (int i = 0; i < 2000; ++i) {
+    pad = nl.add_gate(GateType::Buf, "pad" + std::to_string(i), {pad});
+  }
+  nl.mark_output(pad);
   BitSimulator sim(nl);
-  PatternSet ps(1, 64);  // all-zero inputs: output == DFF state
+  const std::size_t words = sim.plan().block_words(1u << 20) * 2 + 3;
+  const PatternSet ps(1, 64 * words);  // all-zero inputs: o == DFF state
   const std::vector<std::uint64_t> ones = {~std::uint64_t{0}};
-  NodeValues vals;
-  sim.run_into(vals, ps, &ones);
-  ASSERT_EQ(vals.row(o)[0], ~std::uint64_t{0});
-  sim.run_into(vals, ps);  // reset state: must read 0, not stale ones
-  EXPECT_EQ(vals.row(o)[0], 0u);
+  std::vector<std::uint64_t> row(words);
+  for (const ValueLayout layout :
+       {ValueLayout::Contiguous, ValueLayout::Striped}) {
+    NodeValues vals;
+    sim.run_into(vals, ps, &ones, layout);
+    ASSERT_EQ(vals.striped(), layout == ValueLayout::Striped);
+    vals.copy_row(o, row.data());
+    ASSERT_EQ(row, std::vector<std::uint64_t>(words, ~std::uint64_t{0}));
+    const std::uint64_t* storage = vals.data();
+    sim.run_into(vals, ps, nullptr, layout);  // reset state: 0, not stale 1s
+    ASSERT_EQ(vals.data(), storage);          // the same matrix was reused
+    vals.copy_row(o, row.data());
+    EXPECT_EQ(row, std::vector<std::uint64_t>(words, 0))
+        << (layout == ValueLayout::Striped ? "striped" : "contiguous");
+  }
 }
 
 TEST(EvalPlan, CycleSimulatorStepScratchKeepsSemantics) {

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <string_view>
 
 #include "atpg/fault_sim_engine.hpp"
 #include "atpg/fault_sim_packed.hpp"
+#include "sim/cone_walk.hpp"
 
 namespace tz {
 
@@ -60,12 +60,9 @@ void FaultSimContext::rebuild_static() {
   const EvalPlan& plan = sim_.plan();
   const std::size_t n = plan.num_slots();
   po_reach_.assign(n, 0);
-  rank_.resize(n);
-  // Slot order is the topological order, so the worklist rank is the slot id
-  // itself and reachability is one reverse sweep over the fanout CSR (which
-  // already excludes DFF readers — they block a single pass exactly as they
-  // do in BitSimulator::run).
-  std::iota(rank_.begin(), rank_.end(), 0);
+  // Slot order is the topological order, so reachability is one reverse
+  // sweep over the fanout CSR (which already excludes DFF readers — they
+  // block a single pass exactly as they do in BitSimulator::run).
   for (SlotId po : plan.output_slots()) po_reach_[po] = 1;
   for (SlotId s = static_cast<SlotId>(n); s-- > 0;) {
     if (po_reach_[s]) continue;
@@ -106,46 +103,31 @@ void FaultSimContext::resync_structure() {
 double FaultSimContext::mean_cone_size() {
   if (mean_cone_ >= 0.0) return mean_cone_;
   // Sample the fanout-cone size from a handful of evenly spaced PO-reachable
-  // sites: a bounded BFS over the same edges the event engine walks, giving
-  // the Auto selector a static density estimate without simulating anything.
+  // sites: a wavefront drain over the same edges the event engine walks,
+  // giving the Auto selector a static density estimate without simulating
+  // anything.
   const EvalPlan& plan = sim_.plan();
-  const std::size_t n = plan.num_slots();
-  std::vector<std::uint32_t> reachable;
-  reachable.reserve(n);
-  for (std::uint32_t ix = 0; ix < n; ++ix) {
-    if (po_reach_[ix]) reachable.push_back(ix);
-  }
-  if (reachable.empty()) {
-    mean_cone_ = 0.0;
-    return mean_cone_;
-  }
+  const std::size_t reachable = static_cast<std::size_t>(
+      std::count(po_reach_.begin(), po_reach_.end(), 1));
   constexpr std::size_t kSamples = 24;
-  const std::size_t stride = std::max<std::size_t>(1, reachable.size() / kSamples);
-  std::vector<std::uint32_t> stamp(n, 0);
-  std::vector<std::uint32_t> frontier;
-  std::uint32_t epoch = 0;
+  const std::size_t stride = std::max<std::size_t>(1, reachable / kSamples);
+  SlotWavefront wave;
+  wave.resize(plan.num_slots());
+  std::size_t seen = 0;  // PO-reachable sites passed so far
   std::size_t total = 0;
   std::size_t samples = 0;
-  for (std::size_t i = 0; i < reachable.size(); i += stride) {
-    ++epoch;
+  for (SlotId site = 0; site < plan.num_slots(); ++site) {
+    if (!po_reach_[site] || seen++ % stride != 0) continue;
     ++samples;
-    frontier.assign(1, reachable[i]);
-    stamp[reachable[i]] = epoch;
-    std::size_t cone = 0;
-    while (!frontier.empty()) {
-      const std::uint32_t ix = frontier.back();
-      frontier.pop_back();
-      ++cone;
-      for (SlotId reader : plan.fanout(ix)) {
-        if (stamp[reader] != epoch) {
-          stamp[reader] = epoch;
-          frontier.push_back(reader);
-        }
-      }
-    }
-    total += cone;
+    wave.push(site);
+    wave.drain([&](SlotId s) {
+      ++total;
+      for (SlotId reader : plan.fanout(s)) wave.push(reader);
+    });
   }
-  mean_cone_ = static_cast<double>(total) / static_cast<double>(samples);
+  mean_cone_ = samples == 0 ? 0.0
+                            : static_cast<double>(total) /
+                                  static_cast<double>(samples);
   return mean_cone_;
 }
 
@@ -168,21 +150,23 @@ namespace {
 /// context and routes each call by a word-count cost model:
 ///
 ///   event  ~ F * mean_cone * ceil(P/64)      words through the scalar cone
-///                                            walk (worklist + change check)
+///                                            walk (wavefront + change check)
 ///   packed ~ ceil(F/64) * eval_slots * P     words through the SIMD stripe
 ///                                            sweep, flag-mode runs usually
 ///                                            early-exiting after the first
 ///                                            64-pattern block
 ///
 /// A packed word is much cheaper than an event word (straight-line SIMD vs
-/// worklist scheduling and per-gate dispatch), and the static cone size
+/// wavefront scheduling and per-gate dispatch), and the static cone size
 /// overestimates the event walk (diffs die before filling the cone);
 /// kPackedWordCost folds both effects into one measured constant. Calibrated
 /// against the two 100k-gate bench extremes, whose decisions it must get
 /// right with margin: mult96 dense cones (mean cone ~31k of 109k slots) run
 /// ~7.7x faster packed (BM_FaultSimPacked100k same-run A/B), while the
 /// sparse rand100k DAG (mean cone ~4k of 100k slots) runs ~2.4x faster
-/// event-driven (bench_large_smoke parity section times both).
+/// event-driven (bench_large_smoke parity section times both). Those ratios
+/// predate the slot-ordered cone walk, which narrowed mult96 to ~3.3x and
+/// so only widened the rand100k margin; the constant was left as calibrated.
 class AutoFaultSimBackend final : public FaultSimBackend {
  public:
   explicit AutoFaultSimBackend(std::shared_ptr<FaultSimContext> ctx)

@@ -11,8 +11,8 @@
 // This header owns the pieces both engines share:
 //  - FaultSimMode / TZ_FAULT_MODE: the process-wide backend selector (env
 //    read once, test hook overrides atomically);
-//  - FaultSimContext: the compiled plan, the static analyses (worklist ranks,
-//    fanout-cone -> PO reachability) and the good-machine simulation,
+//  - FaultSimContext: the compiled plan, the static analyses (fanout-cone ->
+//    PO reachability, cone statistics) and the good-machine simulation,
 //    computed once per netlist and cached across backend calls — constructing
 //    engines per call used to recompute these every time;
 //  - FaultSimBackend: the abstract contract (detects / simulate / drop_sim /
@@ -49,9 +49,9 @@ void set_fault_sim_mode(int mode);
 /// Static analyses + good machine shared by every fault-simulation backend.
 ///
 /// Constructed once per netlist and reused across calls and across backends
-/// (the Auto selector runs both engines off one context): the compiled plan,
-/// worklist ranks and the fanout-cone -> PO reachability bitset survive
-/// between pattern-set swaps, and `resync_structure()` is the single
+/// (the Auto selector runs both engines off one context): the compiled plan
+/// and the fanout-cone -> PO reachability bitset survive between pattern-set
+/// swaps, and `resync_structure()` is the single
 /// invalidation point after structural netlist edits. Every per-node array
 /// here is indexed by plan slot.
 class FaultSimContext {
@@ -61,7 +61,7 @@ class FaultSimContext {
   /// Re-run the good machine on a new pattern set; static analyses are kept.
   void set_patterns(const PatternSet& patterns);
 
-  /// Recompute every static analysis (plan, ranks, PO reachability, cone
+  /// Recompute every static analysis (plan, PO reachability, cone
   /// statistics) after the netlist changed structurally. Also drops the good
   /// machine — call set_patterns() again before simulating.
   void resync_structure();
@@ -70,7 +70,6 @@ class FaultSimContext {
   /// The compiled plan both engines walk.
   const EvalPlan& plan() const { return sim_.plan(); }
 
-  const std::vector<std::uint32_t>& rank() const { return rank_; }
   bool po_reachable_slot(SlotId s) const { return po_reach_[s] != 0; }
   /// Static reachability: false means no combinational path from `id` to any
   /// primary output exists, so no fault at `id` is ever detectable.
@@ -104,7 +103,6 @@ class FaultSimContext {
 
   const Netlist* nl_;
   BitSimulator sim_;
-  std::vector<std::uint32_t> rank_;  ///< worklist order (identity over slots)
   std::vector<char> po_reach_;       ///< static cone -> PO reachability
   NodeValues good_;
   std::size_t words_ = 0;

@@ -6,7 +6,7 @@
 namespace tz {
 
 FaultSimEngine::FaultSimEngine(std::shared_ptr<FaultSimContext> ctx)
-    : FaultSimBackend(std::move(ctx)), worklist_(ctx_->rank()) {}
+    : FaultSimBackend(std::move(ctx)) {}
 
 FaultSimEngine::FaultSimEngine(const Netlist& nl)
     : FaultSimEngine(std::make_shared<FaultSimContext>(nl)) {}
@@ -17,19 +17,14 @@ FaultSimEngine::FaultSimEngine(const Netlist& nl, const PatternSet& patterns)
 }
 
 void FaultSimEngine::sync_scratch() {
-  if (synced_structure_ != ctx_->structure_epoch()) {
-    const std::size_t n = ctx_->plan().num_slots();
-    touched_.assign(n, 0);
-    worklist_.resize(n);
-    synced_structure_ = ctx_->structure_epoch();
-  }
-  if (synced_patterns_ != ctx_->pattern_epoch()) {
-    words_ = ctx_->words();
-    tail_ = ctx_->tail_mask();
-    faulty_.resize(ctx_->plan().num_slots() * words_);
-    bits_.assign(words_, 0);
-    synced_patterns_ = ctx_->pattern_epoch();
-  }
+  // resync_structure moves the pattern epoch too.
+  if (synced_patterns_ == ctx_->pattern_epoch()) return;
+  words_ = ctx_->words();
+  valid_.assign(words_, ~std::uint64_t{0});
+  if (words_ != 0) valid_.back() = ctx_->tail_mask();
+  walk_.resize(ctx_->plan().num_slots(), words_);
+  bits_.assign(words_, 0);
+  synced_patterns_ = ctx_->pattern_epoch();
 }
 
 bool FaultSimEngine::simulate_fault(const Fault& f, bool want_bits) {
@@ -40,69 +35,30 @@ bool FaultSimEngine::simulate_fault(const Fault& f, bool want_bits) {
   const SlotId site = plan.slot_of(f.node);
   if (!ctx_->po_reachable_slot(site)) return false;
 
-  // Seed: inject the stuck value at the site. If no pattern excites the
-  // fault (good value already equals the stuck value everywhere), nothing
-  // can propagate — skip the whole cone.
-  const std::uint64_t inject =
-      f.value == StuckAt::One ? ~std::uint64_t{0} : 0;
-  const std::uint64_t* g = ctx_->good_row(site);
-  std::uint64_t excited = 0;
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t diff = inject ^ g[w];
-    if (w + 1 == words_) diff &= tail_;
-    excited |= diff;
+  // Inject the stuck value at the site. If no pattern excites the fault
+  // (good value already equals the stuck value everywhere), nothing can
+  // propagate — skip the whole cone.
+  if (!walk_.seed_const(plan, site, f.value == StuckAt::One,
+                        ctx_->good_row(site), valid_.data())) {
+    return false;
   }
-  if (!excited) return false;
-
-  std::uint64_t* site_row = frow(site);
-  for (std::size_t w = 0; w < words_; ++w) site_row[w] = inject;
-  // Blend the padding lanes of the last word with the good row so the
-  // event cascade below sees no phantom difference past the last pattern.
-  site_row[words_ - 1] = (inject & tail_) | (g[words_ - 1] & ~tail_);
-  touched_[site] = 1;
-  visited_.push_back(site);
-
-  const auto schedule = [&](SlotId src) {
-    for (SlotId reader : plan.fanout(src)) worklist_.push(reader);
-  };
-  const auto value_of = [&](SlotId s) -> const std::uint64_t* {
-    return touched_[s] ? frow(s) : ctx_->good_row(s);
-  };
-
-  // Event-driven cone evaluation. The worklist pops in topological order, so
-  // by the time a gate is evaluated all of its touched fanins are final; a
-  // gate whose faulty row equals the good row generates no further events.
-  schedule(site);
-  while (!worklist_.empty()) {
-    const SlotId ix = worklist_.pop();
-    std::uint64_t* out = frow(ix);
-    eval_plan_slot(plan, ix, words_, value_of, out);
-    const std::uint64_t* gr = ctx_->good_row(ix);
-    std::uint64_t changed = 0;
-    for (std::size_t w = 0; w < words_; ++w) changed |= out[w] ^ gr[w];
-    if (!changed) continue;  // row not marked touched; readers see the good_
-    touched_[ix] = 1;
-    visited_.push_back(ix);
-    schedule(ix);
-  }
+  // Padding lanes past the last pattern may deviate freely: the walk and
+  // the PO compare below both mask them out.
+  walk_.run(plan, [&](SlotId s) { return ctx_->good_row(s); }, valid_.data());
 
   bool any = false;
   for (const SlotId po : plan.output_slots()) {
-    if (!touched_[po]) continue;
+    if (!walk_.marked(po)) continue;
     const std::uint64_t* gp = ctx_->good_row(po);
-    const std::uint64_t* fp = frow(po);
+    const std::uint64_t* fp = walk_.row(po);
     for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t diff = gp[w] ^ fp[w];
-      if (w + 1 == words_) diff &= tail_;
+      const std::uint64_t diff = (gp[w] ^ fp[w]) & valid_[w];
       if (!diff) continue;
+      if (!want_bits) return true;
       any = true;
-      if (!want_bits) goto done;
       bits_[w] |= diff;
     }
   }
-done:
-  for (std::uint32_t ix : visited_) touched_[ix] = 0;
-  visited_.clear();
   return any;
 }
 

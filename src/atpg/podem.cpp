@@ -127,8 +127,8 @@ PodemEngine::PodemEngine(const Netlist& nl)
       pi_assign_(plan_.num_slots(), -1),
       is_input_(plan_.num_slots(), 0),
       po_uses_(plan_.num_slots(), 0),
-      queued_((plan_.num_slots() + 63) / 64, 0),
-      frontier_(queued_.size(), 0) {
+      frontier_((plan_.num_slots() + 63) / 64, 0) {
+  wave_.resize(plan_.num_slots());
   const std::uint32_t* offs = plan_.fanin_offsets_data();
   const SlotId* fan = plan_.fanin_slots_data();
   for (SlotId s = 0; s < plan_.num_slots(); ++s) {
@@ -141,61 +141,49 @@ PodemEngine::PodemEngine(const Netlist& nl)
   for (SlotId s : plan_.output_slots()) ++po_uses_[s];
 }
 
-void PodemEngine::push(SlotId s) {
-  queued_[s >> 6] |= std::uint64_t{1} << (s & 63);
-  queued_lo_ = std::min<std::size_t>(queued_lo_, s >> 6);
-  queued_hi_ = std::max<std::size_t>(queued_hi_, s >> 6);
-}
-
 void PodemEngine::imply(SlotId fault_slot, V stuck) {
   // The machine state is a pure function of (pi_assign, fault), so
   // re-evaluating exactly the slots whose fanin changed reproduces a full
-  // pass bit for bit. Every push targets a reader of the popped slot, i.e. a
-  // higher slot, so scanning the queued bits upward pops lowest-rank first.
+  // pass bit for bit.
   const EvalOp* ops = plan_.ops_data();
   const std::uint32_t* offs = plan_.fanin_offsets_data();
   const SlotId* fan = plan_.fanin_slots_data();
-  for (std::size_t w = queued_lo_; w <= queued_hi_; ++w) {
-    while (queued_[w] != 0) {
-      const auto s = static_cast<SlotId>(64 * w + std::countr_zero(queued_[w]));
-      queued_[w] &= queued_[w] - 1;
-      const EvalOp op = ops[s];
-      const SlotId* f = fan + offs[s];
-      const std::size_t arity = offs[s + 1] - offs[s];
-      V v;
-      if (op == EvalOp::Source) {
-        v = pi_assign_[s] < 0 ? kAllX : pi_assign_[s] ? kMay1 : kMay0;
-      } else {
-        v = eval_pair(op, f, arity, val_.data());
+  wave_.drain([&](SlotId s) {
+    const EvalOp op = ops[s];
+    const SlotId* f = fan + offs[s];
+    const std::size_t arity = offs[s + 1] - offs[s];
+    V v;
+    if (op == EvalOp::Source) {
+      v = pi_assign_[s] < 0 ? kAllX : pi_assign_[s] ? kMay1 : kMay0;
+    } else {
+      v = eval_pair(op, f, arity, val_.data());
+    }
+    if (s == fault_slot) v = static_cast<V>((v & kGoodMask) | stuck);
+    if (v != val_[s]) {
+      if (po_uses_[s] != 0) {
+        if (is_error(val_[s])) po_errors_ -= po_uses_[s];
+        if (is_error(v)) po_errors_ += po_uses_[s];
       }
-      if (s == fault_slot) v = static_cast<V>((v & kGoodMask) | stuck);
-      if (v != val_[s]) {
-        if (po_uses_[s] != 0) {
-          if (is_error(val_[s])) po_errors_ -= po_uses_[s];
-          if (is_error(v)) po_errors_ += po_uses_[s];
-        }
-        val_[s] = v;
-        for (SlotId reader : plan_.fanout(s)) push(reader);
-      }
-      // D-frontier membership: undetermined output and an error on some
-      // fanin. It depends on the fanins too, so refresh on every pop.
-      bool frontier = false;
-      if (op != EvalOp::Source && (good_is_x(v) || faulty_is_x(v))) {
-        for (std::size_t i = 0; i < arity && !frontier; ++i) {
-          frontier = is_error(val_[f[i]]);
-        }
-      }
-      const std::uint64_t bit = std::uint64_t{1} << (s & 63);
-      if (frontier) {
-        frontier_[w] |= bit;
-        frontier_lo_ = std::min(frontier_lo_, w);
-      } else {
-        frontier_[w] &= ~bit;
+      val_[s] = v;
+      for (SlotId reader : plan_.fanout(s)) wave_.push(reader);
+    }
+    // D-frontier membership: undetermined output and an error on some
+    // fanin. It depends on the fanins too, so refresh on every visit.
+    bool frontier = false;
+    if (op != EvalOp::Source && (good_is_x(v) || faulty_is_x(v))) {
+      for (std::size_t i = 0; i < arity && !frontier; ++i) {
+        frontier = is_error(val_[f[i]]);
       }
     }
-  }
-  queued_lo_ = queued_.size();
-  queued_hi_ = 0;
+    const std::size_t w = s >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (s & 63);
+    if (frontier) {
+      frontier_[w] |= bit;
+      frontier_lo_ = std::min(frontier_lo_, w);
+    } else {
+      frontier_[w] &= ~bit;
+    }
+  });
 }
 
 SlotId PodemEngine::first_frontier_gate() {
@@ -220,13 +208,11 @@ PodemResult PodemEngine::run(const Fault& fault, const PodemOptions& opt) {
   // empty until the fault slot's own implication fills them in.
   std::copy(all_x_.begin(), all_x_.end(), val_.begin());
   std::fill(pi_assign_.begin(), pi_assign_.end(), -1);
-  std::fill(queued_.begin(), queued_.end(), 0);
-  queued_lo_ = queued_.size();
-  queued_hi_ = 0;
+  wave_.clear();
   std::fill(frontier_.begin(), frontier_.end(), 0);
   frontier_lo_ = frontier_.size();
   po_errors_ = 0;
-  push(fs);
+  wave_.push(fs);
   imply(fs, stuck);
 
   // Objective selection. Returns nullopt when no useful objective exists
@@ -299,17 +285,17 @@ PodemResult PodemEngine::run(const Fault& fault, const PodemOptions& opt) {
       } else {
         decisions.push_back({pi, val, false});
         pi_assign_[pi] = val ? 1 : 0;
-        push(pi);
+        wave_.push(pi);
         imply(fs, stuck);
         continue;
       }
     }
     // Backtrack. The changed PIs are queued as they change; a run that ends
-    // here never drains them, so the next run() clears the queue.
+    // here never drains them, so the next run() clears the wavefront.
     bool flipped = false;
     while (!decisions.empty()) {
       Decision& d = decisions.back();
-      push(d.pi);
+      wave_.push(d.pi);
       if (!d.tried_both) {
         d.tried_both = true;
         d.value = !d.value;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "atpg/fault.hpp"
+#include "sim/cone_walk.hpp"
 #include "sim/eval_plan.hpp"
 #include "sim/patterns.hpp"
 
@@ -44,10 +45,10 @@ struct PodemResult {
 ///  - Cached all-X start: the good machine with every PI at X does not
 ///    depend on the fault, so it is computed once here; run() copies it into
 ///    both machines and implies from the fault slot alone.
-///  - Wavefront queue: implication pushes only to readers of the popped
-///    slot, which have higher slot ids, so a queued-bit scan upward from the
-///    lowest seed word pops lowest-rank first at O(1) per event.
-///  - D-frontier bitset: every slot implication pops has its frontier bit
+///  - Wavefront: implication drains a sim/cone_walk.hpp SlotWavefront.
+///    It pushes only to readers of the visited slot, which have higher slot
+///    ids, so the upward bit scan visits lowest slot first at O(1) per event.
+///  - D-frontier bitset: every slot implication visits has its frontier bit
 ///    refreshed (membership depends on its fanins as well as its own value);
 ///    the lowest set bit is the first frontier gate in topological order.
 ///    A counter of erroring PO entries replaces the per-decision PO scan.
@@ -66,8 +67,7 @@ class PodemEngine {
   PodemResult run(const Fault& fault, const PodemOptions& opt = {});
 
  private:
-  void push(SlotId s);
-  /// Drain the wavefront queue: evaluate every queued slot, lowest first.
+  /// Drain the wavefront: evaluate every queued slot, lowest first.
   void imply(SlotId fault_slot, std::uint8_t stuck);
   SlotId first_frontier_gate();
 
@@ -79,8 +79,8 @@ class PodemEngine {
   std::vector<char> is_input_;
   std::vector<std::uint32_t> po_uses_;  // PO entries each slot drives
   std::size_t po_errors_ = 0;           // PO entries with good != faulty
-  std::vector<std::uint64_t> queued_, frontier_;
-  std::size_t queued_lo_ = 0, queued_hi_ = 0;  // words pushes touched
+  SlotWavefront wave_;
+  std::vector<std::uint64_t> frontier_;
   std::size_t frontier_lo_ = 0;  // frontier_ words below this are zero
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -14,10 +13,6 @@
 #include "verify/verify.hpp"
 
 namespace tz {
-
-// --------------------------------------------------------------- ConeScratch
-
-ConeScratch::ConeScratch(const SuiteOracle& core) : worklist_(core.rank_) {}
 
 // --------------------------------------------------------------- SuiteOracle
 
@@ -72,14 +67,12 @@ bool SuiteOracle::seed_compatible(const SuiteOracle& seed) const {
 
 void SuiteOracle::clone_from(const SuiteOracle& seed) {
   node_cap_ = seed.node_cap_;
-  cap_ = seed.cap_;
   words_ = seed.words_;
   segs_ = seed.segs_;
   valid_ = seed.valid_;
   rows_ = seed.rows_;
   golden_ = seed.golden_;
   recorded_po_ = seed.recorded_po_;
-  rank_ = seed.rank_;
   // The plan is patched in place by resync_structure, so every clone gets
   // its own deep copy; the seed's plan stays pristine for the next job.
   plan_ = std::make_shared<EvalPlan>(*seed.plan_);
@@ -90,11 +83,8 @@ void SuiteOracle::build_caches() {
   const DefenderSuite& suite = *suite_;
   node_cap_ = nl.raw_size();
   // One plan shared with the seeding simulator, so cached rows are dense
-  // slot-major and slot ids double as topological ranks.
+  // slot-major in topological order.
   plan_ = std::make_shared<EvalPlan>(nl);
-  cap_ = plan_->num_slots();
-  rank_.resize(cap_);
-  std::iota(rank_.begin(), rank_.end(), 0);
   const BitSimulator sim(nl, plan_);
   recorded_po_ = nl.outputs();
 
@@ -112,7 +102,7 @@ void SuiteOracle::build_caches() {
     segs_.push_back(sg);
   }
   valid_.assign(words_, ~std::uint64_t{0});
-  rows_.assign(cap_ * words_, 0);
+  rows_.assign(plan_->num_slots() * words_, 0);
   golden_.assign(recorded_po_.size() * words_, 0);
   std::size_t seg = 0;
   for (const DefenderTestSet& ts : suite.algorithms) {
@@ -122,7 +112,7 @@ void SuiteOracle::build_caches() {
     const NodeValues vals = sim.run(ts.patterns);
     // copy_slot_row gathers across stripes when a wide suite made the run
     // come out stripe-major (the fused cache itself stays row-contiguous).
-    for (std::size_t s = 0; s < cap_; ++s) {
+    for (std::size_t s = 0; s < plan_->num_slots(); ++s) {
       vals.copy_slot_row(s, rows_.data() + s * words_ + sg.offset);
     }
     for (std::size_t o = 0; o < recorded_po_.size(); ++o) {
@@ -144,56 +134,25 @@ void SuiteOracle::grow() {
     if (!nl_->is_alive(id)) continue;
     const SlotId s = plan_->append_source(id);
     rows_.resize((static_cast<std::size_t>(s) + 1) * words_, 0);
-    rank_.push_back(s);
     if (nl_->node(id).type == GateType::Const1) {
       std::fill_n(rows_.data() + static_cast<std::size_t>(s) * words_, words_,
                   ~std::uint64_t{0});
     }
   }
-  cap_ = plan_->num_slots();
   node_cap_ = n;
 }
 
-void SuiteOracle::ensure_scratch(ConeScratch& cs) const {
-  if (cs.rows_.size() < cap_ * words_) cs.rows_.resize(cap_ * words_, 0);
-  if (cs.touched_.size() < cap_) cs.touched_.resize(cap_, 0);
-  cs.worklist_.resize(cap_);
-}
-
-void SuiteOracle::schedule_readers(SlotId s, ConeScratch& cs) const {
-  for (SlotId r : plan_->fanout(s)) {
-    if (plan_->op(r) != EvalOp::Dead) cs.worklist_.push(r);
-  }
-}
-
 bool SuiteOracle::propagate(ConeScratch& cs) const {
-  const auto get = [&](SlotId f) -> const std::uint64_t* {
-    return cs.touched_[f] ? scratch_row(cs, f) : cached_row(f);
-  };
-  // The worklist pops in topological order, so every touched fanin is final
-  // by the time a gate evaluates; a gate whose row matches the cache on all
-  // valid lanes (of every set at once) generates no further events.
-  while (!cs.worklist_.empty()) {
-    const SlotId id = cs.worklist_.pop();
-    std::uint64_t* out = scratch_row(cs, id);
-    eval_plan_slot(*plan_, id, words_, get, out);
-    const std::uint64_t* cr = cached_row(id);
-    std::uint64_t changed = 0;
-    for (std::size_t w = 0; w < words_; ++w) {
-      changed |= (out[w] ^ cr[w]) & valid_[w];
-    }
-    if (!changed) continue;
-    cs.touched_[id] = 1;
-    cs.visited_.push_back(id);
-    schedule_readers(id, cs);
-  }
-
+  // One slot-ordered walk judges every set at once: a gate whose row matches
+  // the cache on all valid lanes generates no further events.
+  ConeWalk& walk = cs.walk_;
+  walk.run(*plan_, [&](SlotId s) { return cached_row(s); }, valid_.data());
   for (std::size_t o = 0; o < recorded_po_.size(); ++o) {
     const NodeId cur = nl_->outputs()[o];
     const SlotId cix = plan_->slot_of(cur);
-    if (!cs.touched_[cix] && cur == recorded_po_[o]) continue;
+    if (!walk.marked(cix) && cur == recorded_po_[o]) continue;
     const std::uint64_t* got =
-        cs.touched_[cix] ? scratch_row(cs, cix) : cached_row(cix);
+        walk.marked(cix) ? walk.row(cix) : cached_row(cix);
     const std::uint64_t* want = golden_.data() + o * words_;
     for (std::size_t w = 0; w < words_; ++w) {
       if ((got[w] ^ want[w]) & valid_[w]) return true;
@@ -202,37 +161,20 @@ bool SuiteOracle::propagate(ConeScratch& cs) const {
   return false;
 }
 
-void SuiteOracle::clear_marks(ConeScratch& cs) const {
-  for (const SlotId s : cs.visited_) cs.touched_[s] = 0;
-  cs.visited_.clear();
-}
-
 bool SuiteOracle::seed_tie(NodeId target, bool value, ConeScratch& cs) const {
-  const std::uint64_t cval = value ? ~std::uint64_t{0} : 0;
+  if (words_ == 0) return false;
+  cs.walk_.resize(plan_->num_slots(), words_);
+  // Force the constant at the target: exactly the function the netlist
+  // computes once the tie is applied. Skipped when the target already holds
+  // it on every valid lane of every set — nothing downstream can change.
   const SlotId tix = plan_->slot_of(target);
-  // Excitation fast path: the tied node already evaluated to the constant
-  // on every valid lane of every set — nothing downstream can change.
-  const std::uint64_t* tr = cached_row(tix);
-  std::uint64_t diff = 0;
-  for (std::size_t w = 0; w < words_; ++w) diff |= (tr[w] ^ cval) & valid_[w];
-  if (!diff) return false;
-  // Force the constant at the target and re-evaluate its readers: exactly
-  // the function the netlist computes once the tie is applied.
-  std::fill_n(scratch_row(cs, tix), words_, cval);
-  cs.touched_[tix] = 1;
-  cs.visited_.push_back(tix);
-  schedule_readers(tix, cs);
-  return true;
+  return cs.walk_.seed_const(*plan_, tix, value, cached_row(tix),
+                             valid_.data());
 }
 
 bool SuiteOracle::tie_visible(NodeId target, bool value,
                               ConeScratch& cs) const {
-  ensure_scratch(cs);
-  if (words_ == 0) return false;
-  if (!seed_tie(target, value, cs)) return false;
-  const bool any = propagate(cs);
-  clear_marks(cs);
-  return any;
+  return seed_tie(target, value, cs) && propagate(cs);
 }
 
 bool SuiteOracle::tie_visible(NodeId target, bool value) {
@@ -248,18 +190,14 @@ void SuiteOracle::commit_tie(NodeId target, bool value) {
   // resync_structure() can patch the plan (reader fanins, swept cone).
   pending_ties_.push_back(target);
   ConeScratch& cs = self_;
-  ensure_scratch(cs);
-  if (words_ == 0) return;
-  if (!seed_tie(target, value, cs)) return;
-  if (!propagate(cs)) {
+  if (seed_tie(target, value, cs) && !propagate(cs)) {
     // Invisible as promised: fold the deviating rows into the cache so later
     // candidates are judged against the updated netlist.
-    for (const SlotId s : cs.visited_) {
-      std::copy(scratch_row(cs, s), scratch_row(cs, s) + words_,
-                rows_.data() + static_cast<std::size_t>(s) * words_);
+    for (const SlotId s : cs.walk_.visited()) {
+      std::copy_n(cs.walk_.row(s), words_,
+                  rows_.data() + static_cast<std::size_t>(s) * words_);
     }
   }
-  clear_marks(cs);
 }
 
 void SuiteOracle::resync_structure() {
@@ -343,22 +281,17 @@ bool SuiteOracle::ht_visible(std::span<const NodeId> trigger_nets,
     throw std::invalid_argument(
         "SuiteOracle::ht_visible: counter_bits must be in [0,63]");
   }
-  ensure_scratch(cs);
   if (words_ == 0) return false;
+  cs.walk_.resize(plan_->num_slots(), words_);
   // Dormant throughout every pattern stream: undetectable.
   if (!payload_fires(trigger_nets, counter_bits, cs)) return false;
   // The payload MUX rewires the victim's readers to v XOR fire; propagate
   // the masked deviation through the victim's fanout cone.
   const SlotId vix = plan_->slot_of(victim);
-  std::uint64_t* fr = scratch_row(cs, vix);
+  std::uint64_t* fr = cs.walk_.seed(*plan_, vix);
   const std::uint64_t* vr = cached_row(vix);
   for (std::size_t w = 0; w < words_; ++w) fr[w] = vr[w] ^ cs.fire_[w];
-  cs.touched_[vix] = 1;
-  cs.visited_.push_back(vix);
-  schedule_readers(vix, cs);
-  const bool any = propagate(cs);
-  clear_marks(cs);
-  return any;
+  return propagate(cs);
 }
 
 bool SuiteOracle::ht_visible(std::span<const NodeId> trigger_nets,
@@ -459,9 +392,7 @@ SalvageResult FlowEngine::salvage(const SalvageOptions& opt) {
     // netlist, invalidating the rest of the batch, which is re-screened —
     // bit-identical to the sequential scan at any thread count.
     ThreadPool pool(threads);
-    std::vector<ConeScratch> scratch;
-    scratch.reserve(pool.size());
-    for (std::size_t w = 0; w < pool.size(); ++w) scratch.emplace_back(oracle);
+    std::vector<ConeScratch> scratch(pool.size());
     const std::size_t batch_cap = std::max<std::size_t>(pool.size() * 4, 8);
     std::vector<std::size_t> batch;
     std::vector<char> visible;
@@ -678,8 +609,7 @@ InsertionResult FlowEngine::insert(const SalvageResult& salvaged,
   std::vector<ConeScratch> scratch;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
-    scratch.reserve(pool->size());
-    for (std::size_t w = 0; w < pool->size(); ++w) scratch.emplace_back(oracle);
+    scratch.resize(pool->size());
   }
 
   std::vector<NodeId> fresh;

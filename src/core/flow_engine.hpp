@@ -7,16 +7,16 @@
 //  - SuiteOracle caches the good-value rows of the current work netlist for
 //    every defender test set in one fused slot-major layout (all sets
 //    concatenated per row, invalid tail lanes masked), and re-simulates only
-//    the structural fanout cone of an edit in a single multi-set pass
-//    (event-driven over a topological-rank worklist, through the EvalPlan
-//    slot kernels), comparing just the cone-reachable outputs against the
-//    cached golden responses. A tie candidate costs O(cone); an
+//    the structural fanout cone of an edit in a single multi-set pass (a
+//    sim/cone_walk.hpp ConeWalk: slot-ordered, event-driven, through the
+//    EvalPlan slot kernels), comparing just the cone-reachable outputs
+//    against the cached golden responses. A tie candidate costs O(cone); an
 //    HT candidate is judged *before* it is materialised by replaying its
 //    trigger/counter against the cached rows of the rare nets it would tap.
 //
 //    The oracle is split into an immutable shared core (cached rows, golden
-//    responses, validity masks, topological ranks) and a per-thread
-//    ConeScratch (worklist, forced-value rows, visited marks): the const
+//    responses, validity masks, compiled plan) and a per-thread
+//    ConeScratch (cone walk, trigger/fire replay rows): the const
 //    judging API is safe to call concurrently from many threads as long as
 //    each call gets its own scratch and nothing mutates the netlist or the
 //    core. Both candidate scans exploit this — tie and HT visibility are
@@ -49,30 +49,22 @@
 #include "core/salvage.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/rewrite.hpp"
+#include "sim/cone_walk.hpp"
 #include "sim/eval_plan.hpp"
-#include "sim/rank_worklist.hpp"
 #include "tech/power_model.hpp"
 #include "tech/power_tracker.hpp"
 #include "util/thread_safety.hpp"
 
 namespace tz {
 
-class SuiteOracle;
-
-/// Per-thread mutable state for SuiteOracle's const judging calls: the rank
-/// worklist, forced/re-evaluated scratch rows, touched marks and the
-/// trigger/fire replay rows. Construct one per worker from the oracle it
-/// will be used with; the oracle grows it on demand at each call.
+/// Per-thread mutable state for SuiteOracle's const judging calls: the cone
+/// walk (forced/re-evaluated rows, deviation marks) and the trigger/fire
+/// replay rows. Default-construct one per worker; the oracle grows it on
+/// demand at each call.
 class ConeScratch {
- public:
-  explicit ConeScratch(const SuiteOracle& core);
-
  private:
   friend class SuiteOracle;
-  RankWorklist worklist_;
-  std::vector<std::uint64_t> rows_;
-  std::vector<char> touched_;
-  std::vector<SlotId> visited_;
+  ConeWalk walk_;
   std::vector<std::uint64_t> trig_, fire_;
 };
 
@@ -81,9 +73,9 @@ class ConeScratch {
 /// API. Only combinational netlists are cached — construction on a netlist
 /// with DFFs sets sequential() and the caller falls back to functional_test.
 ///
-/// The oracle indexes sim/eval_plan.hpp slots: cached rows are slot-major,
-/// slot ids double as topological ranks and the fused cone pass evaluates
-/// through the plan's arity-specialized kernels. resync_structure() patches
+/// The oracle indexes sim/eval_plan.hpp slots: cached rows are slot-major in
+/// topological order and the fused cone pass evaluates through the plan's
+/// arity-specialized kernels. resync_structure() patches
 /// the plan incrementally for committed ties and rolled-back HT/dummy ranges
 /// (append the tie cell as a source slot, rewrite the readers' fanin CSR in
 /// place, tombstone the swept cone), so per-candidate judging never
@@ -112,8 +104,8 @@ class SuiteOracle {
   SuiteOracle(const Netlist& nl, const DefenderSuite& suite,
               const SuiteOracle* seed);
 
-  // The built-in scratch references this instance's rank vector; a copy or
-  // move would leave it pointing into the source object.
+  // A copy would share the plan resync_structure patches in place; clone
+  // through the seeded constructor instead.
   SuiteOracle(const SuiteOracle&) = delete;
   SuiteOracle& operator=(const SuiteOracle&) = delete;
 
@@ -158,8 +150,6 @@ class SuiteOracle {
   const EvalPlan* plan() const { return plan_.get(); }
 
  private:
-  friend class ConeScratch;
-
   /// Full construction: simulate every defender set on `nl_` and cache the
   /// fused rows (the expensive path the seeded constructor avoids).
   void build_caches();
@@ -176,23 +166,16 @@ class SuiteOracle {
   };
 
   void grow();
-  void ensure_scratch(ConeScratch& cs) const;
-  // Every internal row/mark array is keyed by plan slot.
+  // Cached rows are keyed by plan slot.
   const std::uint64_t* cached_row(SlotId s) const {
     return rows_.data() + static_cast<std::size_t>(s) * words_;
   }
-  std::uint64_t* scratch_row(ConeScratch& cs, SlotId s) const {
-    return cs.rows_.data() + static_cast<std::size_t>(s) * words_;
-  }
-  /// Schedule the live combinational readers of slot `s` (plan fanout CSR).
-  void schedule_readers(SlotId s, ConeScratch& cs) const;
-  /// Event-driven fused-cone evaluation from the pre-seeded worklist/forced
-  /// rows; returns true when a primary-output row deviates from golden on
-  /// any valid lane. Leaves cs touched/visited marks set for the caller.
+  /// Run the seeded cone walk; returns true when a primary-output row
+  /// deviates from golden on any valid lane.
   bool propagate(ConeScratch& cs) const;
-  void clear_marks(ConeScratch& cs) const;
-  /// Seed a forced-constant row at `target`. Returns false when the cached
-  /// row already equals the constant on every valid lane (nothing to do).
+  /// Seed cs with a forced-constant row at `target`. Returns false when
+  /// there is nothing to walk: an empty suite, or a cached row that already
+  /// equals the constant on every valid lane.
   bool seed_tie(NodeId target, bool value, ConeScratch& cs) const;
   /// Build cs.fire_ (payload-enable per pattern lane) from the trigger AND
   /// over `trigger_nets` plus the per-set counter replay. Returns true when
@@ -205,7 +188,6 @@ class SuiteOracle {
   bool sequential_ = false;
   bool seeded_ = false;
   std::shared_ptr<EvalPlan> plan_;  ///< nullptr only when sequential_
-  std::size_t cap_ = 0;       ///< slot capacity of rows/scratch
   std::size_t node_cap_ = 0;  ///< raw node ids covered by grow()
   std::size_t words_ = 0;     ///< fused row width: sum of set widths
   std::vector<SetSegment> segs_;
@@ -221,8 +203,7 @@ class SuiteOracle {
   Mutex structure_mu_;
   /// Committed ties awaiting plan patch.
   std::vector<NodeId> pending_ties_ TZ_GUARDED_BY(structure_mu_);
-  std::vector<std::uint32_t> rank_;    ///< identity over slots
-  ConeScratch self_{*this};  ///< scratch for the single-threaded API
+  ConeScratch self_;  ///< scratch for the single-threaded API
 };
 
 /// Const references into a shared per-circuit artifact bundle

@@ -9,13 +9,13 @@
 // the hottest loop — and wide pattern sets are processed in word stripes
 // sized so the streaming working set stays inside the fast cache levels.
 //
-// The slot order IS the topological order, so slot ids double as topological
-// ranks for the event-driven engines (fault simulation, the suite oracle):
-// their rank worklists pop plan slots and evaluate through eval_plan_slot
-// instead of walking Node objects. PodemEngine keeps its three-valued
-// machines in slot order too and pops its implication wavefront from a
-// slot-indexed bitset. sim/gate_eval.hpp stays as the reference
-// kernel; the parity tests check the plan against it bit for bit.
+// The slot order IS the topological order and every fanout edge targets a
+// higher slot, so the event-driven engines (fault simulation, the suite
+// oracle, PODEM's three-valued implication) walk a fanout cone by draining a
+// slot-indexed bitset upward (sim/cone_walk.hpp) and evaluate through
+// eval_plan_slot instead of walking Node objects. sim/gate_eval.hpp stays as
+// the reference kernel; the parity tests check the plan against it bit for
+// bit.
 //
 // Plans support incremental patching (SuiteOracle::resync_structure): an
 // accepted tie appends the tie cell as a source slot, rewrites the readers'

@@ -1,7 +1,12 @@
-// Min-heap worklist over topological ranks, shared by the event-driven
-// engines (fault simulation, the suite oracle, the power tracker). Pops the
-// lowest-rank node first so a DAG cone is evaluated fanin-before-reader; the
-// queued flag makes push idempotent between pops.
+// Min-heap worklist over topological ranks. Pops the lowest-rank node first
+// so a DAG cone is evaluated fanin-before-reader; the queued flag makes push
+// idempotent between pops.
+//
+// PowerTracker is its sole user. The EvalPlan engines walk slot-ordered
+// cones with sim/cone_walk.hpp instead, but PowerTracker ranks netlist node
+// ids, not plan slots, and a splice can make a low-rank reader consume a
+// high-rank new node, so a push can land below the pop cursor: a heap still
+// pops it in order, an upward bit scan would skip it.
 //
 // The rank vector is owned by the caller (it may grow as nodes are added);
 // the worklist reads it by index on every comparison, so appending ranks

@@ -8,7 +8,8 @@
 //
 //  - tie cells appended after compilation are EvalOp::Source slots with no
 //    fanin/fanout CSR rows, placed after their readers (so the topo rule is
-//    "fanin precedes reader OR fanin is a source");
+//    "fanin precedes reader OR fanin is a source", while every fanout edge
+//    of a live slot still points to a higher slot);
 //  - swept-cone slots are EvalOp::Dead: excluded from the node<->slot
 //    bijection and from mutual-consistency sweeps, but their (stale) CSR
 //    rows must still be in bounds;
@@ -234,12 +235,20 @@ void check_edges(const EvalPlan& p, const Netlist& nl, VerifyReport& r) {
       }
     }
   }
-  // Reverse direction: every fanout edge between live slots must be read
-  // back. Edges from/to Dead slots are the stale rows resync_structure
+  // Reverse direction: every fanout edge of a live slot must go to a higher
+  // slot (sim/cone_walk.hpp drains slots upward) and, between live slots, be
+  // read back. Edges from/to Dead slots are the stale rows resync_structure
   // leaves in place — excluded by design.
   for (SlotId s = 0; s < n; ++s) {
     if (is_dead_slot(p, s)) continue;
     for (SlotId reader : p.fanout(s)) {
+      if (reader <= s) {
+        r.add(CheckId::PlanTopoOrder,
+              "fanout row of slot " + std::to_string(s) +
+                  " schedules slot " + std::to_string(reader) +
+                  " which does not follow it",
+              p.node_of(s), s);
+      }
       if (is_dead_slot(p, reader)) continue;
       const auto fi = p.fanins(reader);
       if (std::find(fi.begin(), fi.end(), s) == fi.end()) {

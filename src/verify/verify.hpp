@@ -65,7 +65,8 @@ enum class CheckId : std::uint8_t {
   PlanCsrBounds,      ///< CSR offsets non-monotonic or slot ids out of range.
   PlanCsrStale,       ///< Fanin CSR entry disagrees with the netlist fanin.
   PlanFanoutSync,     ///< Fanin/fanout CSR mutual consistency broken.
-  PlanTopoOrder,      ///< A fanin slot does not precede its reader.
+  PlanTopoOrder,      ///< A fanin slot does not precede its reader, or a
+                      ///< fanout edge does not go to a higher slot.
   PlanIoLists,        ///< input/dff/output slot lists out of sync.
   PlanBlockLayout,    ///< block_words()/stripe bookkeeping contract broken.
   PlanEquivalence,    ///< Patched plan not isomorphic to a fresh recompile.

@@ -2,8 +2,9 @@
 // compile invariants, randomized bit-parity of the plan kernels against the
 // eval_gate_row reference across the full gate alphabet and arity range, a
 // golden digest of the event fault-simulation engine that consumes plans,
-// and the incremental plan patch applied by SuiteOracle::resync_structure
-// after committed ties.
+// the slot-ordered cone walk (sim/cone_walk.hpp) the engines share, and the
+// incremental plan patch applied by SuiteOracle::resync_structure after
+// committed ties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "gen/iscas.hpp"
 #include "netlist/rewrite.hpp"
 #include "prob/signal_prob.hpp"
+#include "sim/cone_walk.hpp"
 #include "sim/eval_plan.hpp"
 #include "sim/simd.hpp"
 #include "sim/simulator.hpp"
@@ -387,6 +389,144 @@ TEST(EvalPlan, CycleSimulatorStepScratchKeepsSemantics) {
   EXPECT_TRUE(cs.step({false})[0]);   // q=1, en=0
   EXPECT_FALSE(cs.step({false})[0]);  // q=0, en=0
   EXPECT_EQ(cs.cycles(), 4u);
+}
+
+// ---- slot-ordered cone walk -------------------------------------------------
+
+/// Drain `wave`, returning the visit order; `on_visit` may push more slots.
+template <typename OnVisit>
+std::vector<SlotId> drain_order(SlotWavefront& wave, OnVisit&& on_visit) {
+  std::vector<SlotId> order;
+  wave.drain([&](SlotId s) {
+    order.push_back(s);
+    on_visit(s);
+  });
+  return order;
+}
+
+std::vector<SlotId> drain_order(SlotWavefront& wave) {
+  return drain_order(wave, [](SlotId) {});
+}
+
+TEST(SlotWavefront, DrainsLowestFirstAcrossWords) {
+  SlotWavefront wave;
+  wave.resize(256);
+  for (const SlotId s : {200u, 64u, 5u, 130u, 63u, 255u, 0u}) wave.push(s);
+  EXPECT_EQ(drain_order(wave),
+            (std::vector<SlotId>{0, 5, 63, 64, 130, 200, 255}));
+  EXPECT_TRUE(drain_order(wave).empty());
+}
+
+TEST(SlotWavefront, PushIsIdempotent) {
+  SlotWavefront wave;
+  wave.resize(128);
+  for (int k = 0; k < 3; ++k) {
+    wave.push(70);
+    wave.push(7);
+  }
+  EXPECT_EQ(drain_order(wave), (std::vector<SlotId>{7, 70}));
+  // Visited slots may be queued again by the next batch.
+  wave.push(7);
+  EXPECT_EQ(drain_order(wave), (std::vector<SlotId>{7}));
+}
+
+TEST(SlotWavefront, PushesDuringDrainJoinTheSameDrain) {
+  SlotWavefront wave;
+  wave.resize(256);
+  wave.push(3);
+  wave.push(50);
+  const auto order = drain_order(wave, [&](SlotId s) {
+    if (s == 3) {
+      wave.push(10);   // later bit of the same word
+      wave.push(100);  // later word
+      wave.push(50);   // already pending
+    }
+    if (s == 100) {
+      wave.push(101);
+      wave.push(190);  // a word past every earlier push
+    }
+  });
+  EXPECT_EQ(order, (std::vector<SlotId>{3, 10, 50, 100, 101, 190}));
+  EXPECT_TRUE(drain_order(wave).empty());
+}
+
+TEST(SlotWavefront, ClearDropsAnUndrainedBatch) {
+  // PODEM's backtrack exit leaves queued PIs behind; the next run clears.
+  SlotWavefront wave;
+  wave.resize(192);
+  for (const SlotId s : {2u, 90u, 191u}) wave.push(s);
+  wave.clear();
+  EXPECT_TRUE(drain_order(wave).empty());
+  wave.push(90);
+  EXPECT_EQ(drain_order(wave), (std::vector<SlotId>{90}));
+}
+
+TEST(SlotWavefront, ResizeGrowthKeepsPendingSlots) {
+  // SuiteOracle::grow appends tie slots between judging calls.
+  SlotWavefront wave;
+  wave.resize(10);
+  wave.push(3);
+  wave.resize(300);
+  wave.push(250);
+  wave.resize(20);  // never shrinks
+  wave.push(299);
+  EXPECT_EQ(drain_order(wave), (std::vector<SlotId>{3, 250, 299}));
+}
+
+#ifndef NDEBUG
+TEST(SlotWavefront, PushAtOrBelowTheCursorAborts) {
+  SlotWavefront wave;
+  wave.resize(64);
+  wave.push(9);
+  EXPECT_DEATH(wave.drain([&](SlotId s) { wave.push(s); }),
+               "below the drain cursor");
+}
+#endif
+
+TEST(ConeWalk, DeviatingRowsMatchForcedReference) {
+  // Force a constant at a gate and walk its cone against the good machine.
+  // The reference is the netlist with that gate tied to the constant: the
+  // marked slots must be exactly the ones whose reference row deviates from
+  // the good row on a valid lane, and every row the walk reads must equal
+  // the reference there.
+  const Netlist nl = random_full_alphabet(7, 120);
+  const PatternSet ps = random_patterns(nl.inputs().size(), 130, 11);
+  const std::size_t words = ps.num_words();
+  std::vector<std::uint64_t> valid(words, ~std::uint64_t{0});
+  valid.back() = ps.tail_mask();
+  const BitSimulator sim(nl);
+  const EvalPlan& plan = sim.plan();
+  const NodeValues good = sim.run(ps, nullptr, ValueLayout::Contiguous);
+  const auto base = [&](SlotId s) { return good.row(plan.node_of(s)); };
+  ConeWalk walk;
+  walk.resize(plan.num_slots(), words);
+  std::size_t deviating = 0;
+  for (SlotId site = 0; site < plan.num_slots(); site += 7) {
+    if (plan.fanins(site).empty()) continue;  // sources and tie cells
+    for (const bool value : {false, true}) {
+      Netlist tied = nl;
+      tie_to_constant(tied, plan.node_of(site), value);
+      const auto ref = test::reference_rows(tied, ps);
+      std::fill_n(walk.seed(plan, site), words,
+                  value ? ~std::uint64_t{0} : std::uint64_t{0});
+      walk.run(plan, base, valid.data());
+      ASSERT_EQ(walk.visited().front(), site);
+      for (SlotId s = 0; s < plan.num_slots(); ++s) {
+        const NodeId id = plan.node_of(s);
+        if (s == site || !tied.is_alive(id)) continue;  // swept by the tie
+        const std::uint64_t* got = walk.marked(s) ? walk.row(s) : base(s);
+        bool differs = false;
+        for (std::size_t w = 0; w < words; ++w) {
+          ASSERT_EQ(got[w] & valid[w], ref[id][w] & valid[w])
+              << "site " << site << " value " << value << " slot " << s;
+          differs |= ((ref[id][w] ^ base(s)[w]) & valid[w]) != 0;
+        }
+        EXPECT_EQ(walk.marked(s), differs) << "site " << site << " slot " << s;
+        deviating += differs ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(deviating, 0u);
 }
 
 }  // namespace

@@ -611,8 +611,7 @@ TEST(ParallelScan, ConcurrentOracleMatchesBuiltinScratch) {
     expected[i] = oracle.tie_visible(cands[i].node, cands[i].tie_value);
   }
   ThreadPool pool(4);
-  std::vector<ConeScratch> scratch;
-  for (std::size_t w = 0; w < pool.size(); ++w) scratch.emplace_back(oracle);
+  std::vector<ConeScratch> scratch(pool.size());
   std::vector<char> got(cands.size(), 0);
   const SuiteOracle& shared = oracle;
   pool.parallel_for(cands.size(), [&](std::size_t i, std::size_t w) {

@@ -18,6 +18,7 @@
 #include "core/report.hpp"
 #include "gen/iscas.hpp"
 #include "netlist/bench_io.hpp"
+#include "netlist/rewrite.hpp"
 #include "sat/solver.hpp"
 #include "sim/simulator.hpp"
 #include "testutil.hpp"
@@ -313,6 +314,38 @@ TEST(PlanCheckerCorrupt, TopoOrder) {
   PlanTestPeer::fanout_offset(p) = {0, 1, 1, 2};
   PlanTestPeer::fanout_slots(p) = {s2, s1};
   PlanTestPeer::output_slots(p)[0] = s1;
+  const VerifyReport r = PlanChecker::run(p, nl);
+  EXPECT_TRUE(r.has(CheckId::PlanTopoOrder)) << r.format();
+  // The one misplaced edge g1 -> g2 is reported from both ends: g2's fanin
+  // row reads a later slot and g1's fanout row schedules an earlier one.
+  ASSERT_EQ(r.violations.size(), 2u) << r.format();
+  for (const Violation& v : r.violations) {
+    EXPECT_EQ(v.id, CheckId::PlanTopoOrder) << r.format();
+  }
+}
+
+TEST(PlanCheckerCorrupt, TopoOrderFanoutBelowSlot) {
+  // Patch the plan the way SuiteOracle::resync_structure does after a tie:
+  // the tie cell becomes a source slot appended after its reader h, h's
+  // fanin row is rewritten and the swept g is tombstoned.
+  Netlist nl = two_gate();
+  EvalPlan p(nl);
+  const SlotId sg = p.slot_of(nl.find("g"));
+  const SlotId sh = p.slot_of(nl.find("h"));
+  const TieResult tie = tie_to_constant(nl, nl.find("g"), false);
+  p.ensure_node_capacity(nl.raw_size());
+  const SlotId st = p.append_source(tie.tie);
+  p.refresh_fanins(sh, nl);
+  p.kill(sg);
+  ASSERT_GT(st, sh);
+  const VerifyReport clean = PlanChecker::run(p, nl);
+  EXPECT_TRUE(clean.ok()) << clean.format();
+  // Give the appended source the fanout edge to h a compile would record.
+  // Source fanins are exempt from the fanin-direction rule (their rows are
+  // pre-filled), and h does read st, so only the fanout direction sees that
+  // a slot-ordered walk seeded at st would schedule h below its cursor.
+  PlanTestPeer::fanout_slots(p).push_back(sh);
+  ++PlanTestPeer::fanout_offset(p).back();
   const VerifyReport r = PlanChecker::run(p, nl);
   EXPECT_TRUE(r.has(CheckId::PlanTopoOrder)) << r.format();
   EXPECT_EQ(r.violations.size(), 1u) << r.format();

@@ -554,12 +554,12 @@ BENCHMARK_CAPTURE(BM_Campaign, cold, false)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Campaign, shared, true)->Unit(benchmark::kMillisecond);
 
 // Campaign thread scaling: run_campaign_in_memory over 4 circuits × 4 seeds
-// × 2 HT shapes (32 jobs sharing 16 suite keys, two per key like
-// campaign1k) at 1/2/4 job-level threads. The driver's artifact phase builds
-// the 16 keys one per worker before the jobs run; without it grid-order
-// dispatch queues the workers on one key's build. Real time, since the work
-// spans threads; a 2 s minimum gives each row several sweeps on a shared
-// host. No row may be slower than threads:1.
+// × 2 HT shapes (32 jobs) at 1/2/4 job-level threads. The 32 jobs form 16
+// salvage groups of two, one per suite key: the driver's artifact phase
+// builds the 16 keys one per worker, then each group salvages once and runs
+// its two insertions, so the rows scale over 16 group tasks. Real time,
+// since the work spans threads; a 2 s minimum gives each row several sweeps
+// on a shared host. No row may be slower than threads:1.
 void BM_CampaignThreads(benchmark::State& state) {
   tz::CampaignGrid g;
   g.circuits = {"mult6", "wallace6", "aluecc8x2", "rand1k"};

@@ -16,9 +16,15 @@
 //
 //  - Suite tier (keyed by circuit + a TestGenOptions fingerprint): the
 //    defender suite and a fully built SuiteOracle on the circuit's netlist —
-//    the compiled EvalPlan and the fused golden simulation rows. Jobs clone
-//    the oracle copy-on-write (SuiteOracle's seeded constructor deep-copies
-//    the plan and rows; the shared entry is never mutated).
+//    the compiled EvalPlan and the fused golden simulation rows. Salvage
+//    clones the oracle copy-on-write (SuiteOracle's seeded constructor
+//    deep-copies the plan and rows; the shared entry is never mutated).
+//
+// Jobs read the netlist and the suite in place; they copy neither. The
+// store holds inputs only, not salvage results: a salvage result is one
+// salvage group's (campaign/job.hpp), lives in that group's task for as
+// long as its rows take, and is never shared beyond it. Memoizing every
+// group's result here would keep all of them alive for the whole campaign.
 //
 // Thread safety: any number of jobs may call get_circuit / get_suite
 // concurrently. The store uses one mutex for the maps plus a per-entry
@@ -51,7 +57,7 @@ namespace tz {
 /// Per-circuit shared artifacts (tier 1).
 struct CircuitArtifacts {
   std::string name;
-  Netlist netlist;    ///< Exactly make_benchmark(name); jobs copy this as N.
+  Netlist netlist;    ///< Exactly make_benchmark(name); jobs read it as N.
   /// netlist.compact() — id-identical to the work netlist each job's
   /// salvage derives, the basis for the shared oracle's caches.
   Netlist compacted;
@@ -69,9 +75,9 @@ struct SuiteArtifacts {
   double atpg_coverage = 0.0;  ///< Front algorithm's coverage.
 };
 
-/// The immutable artifact bundle one job consumes (const refs into the
-/// store). Assembled by ArtifactStore::get_job_inputs; feed `shared` to
-/// FlowEngine::set_shared.
+/// The immutable artifact bundle one salvage group consumes (const refs
+/// into the store). Assembled by ArtifactStore::get_job_inputs; feed
+/// `shared` to FlowEngine::set_shared.
 struct SharedArtifacts {
   const CircuitArtifacts* circuit = nullptr;
   const SuiteArtifacts* defender = nullptr;

@@ -1,6 +1,7 @@
 #include "campaign/driver.hpp"
 
 #include <atomic>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -308,6 +309,60 @@ std::size_t build_artifacts(const std::vector<JobSpec>& jobs,
   return built.load();
 }
 
+/// Salvage groups of `jobs[pending[..]]`: the pending jobs that share a
+/// salvage_key, in first-appearance order, each group in grid order. A job
+/// whose key cannot be derived (unknown defender) is a group of its own; its
+/// run records the error row.
+std::vector<std::vector<std::size_t>> salvage_groups(
+    const std::vector<JobSpec>& jobs, const std::vector<std::size_t>& pending) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<std::string, std::size_t> group_of;
+  for (const std::size_t i : pending) {
+    std::string key;
+    try {
+      key = salvage_key(jobs[i]);
+    } catch (const std::exception&) {
+      groups.push_back({i});
+      continue;
+    }
+    const auto [it, fresh] = group_of.emplace(key, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  return groups;
+}
+
+/// Job loop shared by run_campaign and run_campaign_in_memory: one pool task
+/// per salvage group, each handing its rows to `sink` with the job's index
+/// into `jobs`. A task holds one salvage result and one FlowResult at a
+/// time.
+void run_groups(const std::vector<JobSpec>& jobs,
+                const std::vector<std::vector<std::size_t>>& groups,
+                ArtifactStore& store, ThreadPool& pool,
+                const FlowRowSink& sink) {
+  pool.parallel_for(groups.size(), [&](std::size_t g, std::size_t /*worker*/) {
+    const std::vector<std::size_t>& members = groups[g];
+    std::vector<JobSpec> specs;
+    specs.reserve(members.size());
+    for (const std::size_t i : members) specs.push_back(jobs[i]);
+    run_flow_group(specs, store,
+                   [&](std::size_t k, const FlowResult* r,
+                       const std::exception_ptr& error) {
+                     sink(members[k], r, error);
+                   });
+  });
+}
+
+/// What a failed job threw, for its error row. An exception outside the
+/// std::exception hierarchy propagates.
+std::string error_message(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- run
@@ -382,36 +437,37 @@ CampaignRunStats run_campaign(const CampaignGrid& grid,
   if (pending.empty()) return stats;
 
   ArtifactStore store;
-  Mutex io_mu;
   ThreadPool pool(opt.threads);
   stats.artifact_keys = build_artifacts(jobs, pending, store, pool);
-  pool.parallel_for(
-      pending.size(), [&](std::size_t k, std::size_t /*worker*/) {
-        const JobSpec& spec = jobs[pending[k]];
-        const std::string& id = ids[pending[k]];
-        Json row = Json(JsonObject{});
-        row.set("id", id);
-        row.set("spec", spec.to_json());
-        bool failed = false;
-        try {
-          const FlowResult r = run_flow_job(spec, store);
-          row.set("result", flow_result_to_json(r));
-        } catch (const std::exception& e) {
-          row.set("error", std::string(e.what()));
-          failed = true;
-        }
-        const std::string line = row.dump();
-        MutexLock lk(io_mu);
-        // Checkpoint durability: one whole row per write, flushed, so an
-        // interrupt can tear at most the line being written right now.
-        out << line << '\n';
-        out.flush();
-        failed ? ++stats.failed : ++stats.completed;
-        if (opt.verbose) {
-          std::cerr << "[shard " << opt.shard_index << "/" << opt.shard_count
-                    << "] " << (failed ? "FAIL " : "done ") << id << "\n";
-        }
-      });
+  const std::vector<std::vector<std::size_t>> groups =
+      salvage_groups(jobs, pending);
+  stats.salvage_groups = groups.size();
+  Mutex io_mu;
+  run_groups(jobs, groups, store, pool,
+             [&](std::size_t i, const FlowResult* r,
+                 const std::exception_ptr& error) {
+               Json row = Json(JsonObject{});
+               row.set("id", ids[i]);
+               row.set("spec", jobs[i].to_json());
+               if (r != nullptr) {
+                 row.set("result", flow_result_to_json(*r));
+               } else {
+                 row.set("error", error_message(error));
+               }
+               const std::string line = row.dump();
+               MutexLock lk(io_mu);
+               // Checkpoint durability: one whole row per write, flushed, so
+               // an interrupt can tear at most the line being written now.
+               out << line << '\n';
+               out.flush();
+               r != nullptr ? ++stats.completed : ++stats.failed;
+               if (opt.verbose) {
+                 std::cerr << "[shard " << opt.shard_index << "/"
+                           << opt.shard_count << "] "
+                           << (r != nullptr ? "done " : "FAIL ") << ids[i]
+                           << "\n";
+               }
+             });
   return stats;
 }
 
@@ -543,12 +599,15 @@ std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,
   ArtifactStore store;
   ThreadPool pool(threads);
   build_artifacts(jobs, all, store, pool);
-  pool.parallel_for(jobs.size(), [&](std::size_t i, std::size_t /*worker*/) {
-    const FlowResult r = run_flow_job(jobs[i], store);
-    // Round-trip through the wire format: the benches print exactly what a
-    // merged campaign artifact reproduces.
-    results[i] = flow_result_from_json(Json::parse(flow_result_to_json(r).dump()));
-  });
+  run_groups(jobs, salvage_groups(jobs, all), store, pool,
+             [&](std::size_t i, const FlowResult* r,
+                 const std::exception_ptr& error) {
+               if (r == nullptr) std::rethrow_exception(error);
+               // Round-trip through the wire format: the benches print
+               // exactly what a merged campaign artifact reproduces.
+               results[i] = flow_result_from_json(
+                   Json::parse(flow_result_to_json(*r).dump()));
+             });
   return results;
 }
 

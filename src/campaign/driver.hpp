@@ -12,10 +12,14 @@
 //    process; `tz_campaign run --shard i/N` runs one shard.
 //  - Across threads: within a shard, the pending jobs' distinct artifact
 //    keys (circuit × testgen fingerprint) first build in parallel on the
-//    ThreadPool (TZ_THREADS-aware), one key per worker; then the jobs fan
-//    out on the same pool and find their artifacts built. Each job runs
-//    with job_threads internal threads (default 1 — parallelism lives at
-//    the job level).
+//    ThreadPool (TZ_THREADS-aware), one key per worker. Then the pending
+//    jobs are grouped by salvage_key (artifact key × resolved Pth × order)
+//    and the groups fan out on the same pool, one task per group: the task
+//    runs Algorithm 1 once and each of its jobs' insertions against that
+//    result, checkpointing every row as soon as it is done. Several salvage
+//    groups can share one artifact key; the artifact phase keeps their
+//    tasks off that key's build mutex. Each job runs with job_threads
+//    internal threads (default 1 — parallelism lives at the group level).
 //
 // Checkpointing: each shard appends one JSONL row per finished job to
 // <dir>/shard-<i>-of-<N>.jsonl and flushes per row. On restart the driver
@@ -88,6 +92,9 @@ struct CampaignRunStats {
   std::size_t failed = 0;      ///< Rows recorded as errors this invocation.
   std::size_t artifact_keys = 0;  ///< Distinct suite keys the artifact
                                   ///< phase built for this invocation's jobs.
+  std::size_t salvage_groups = 0;  ///< Salvage groups this invocation's
+                                   ///< jobs formed: one pool task and at
+                                   ///< most one Algorithm 1 run each.
 };
 
 /// FNV-1a 64-bit over bytes — the deterministic shard hash.
@@ -103,9 +110,13 @@ std::string shard_file(const std::string& dir, std::size_t index,
 
 /// Run this process's shard of the campaign: expand, skip checkpointed
 /// jobs, build the pending jobs' distinct artifact keys in parallel, then
-/// fan the jobs out on the thread pool, appending one JSONL row per job.
-/// A job that throws is recorded as an error row (and counted in `failed`)
-/// rather than aborting the shard.
+/// fan the pending jobs' salvage groups out on the thread pool (one
+/// salvage per group), appending one JSONL row per job as it finishes. A
+/// job that throws is recorded as an error row (and counted in `failed`)
+/// rather than aborting the shard; a group whose artifacts or salvage
+/// throw records one error row for each of its jobs. max_jobs cuts the
+/// pending list before grouping, so a resume may finish a group that an
+/// interrupted run started, with the same rows.
 CampaignRunStats run_campaign(const CampaignGrid& grid,
                               const CampaignOptions& opt);
 
@@ -127,7 +138,9 @@ bool campaign_status(const CampaignGrid& grid, const std::string& dir,
                      std::size_t shard_count, std::ostream& os);
 
 /// In-memory campaign for the bench front-ends: run every job single-
-/// process on `threads`, round-trip each result through the JSON wire
+/// process on `threads` through the same artifact phase and salvage-group
+/// loop as run_campaign (a job that throws propagates), round-trip each
+/// result through the JSON wire
 /// format (so the benches print what a merged artifact would reproduce),
 /// and return the results in canonical grid order.
 std::vector<FlowResult> run_campaign_in_memory(const CampaignGrid& grid,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 
 #include "atpg/fault_sim_backend.hpp"
 #include "core/flow_engine.hpp"
@@ -39,50 +40,23 @@ void append_double(std::string& out, double v) {
   throw;
 }
 
-/// The complete flow (Fig. 2) over either cold inputs (arts == nullptr:
-/// build netlist, suite and power model in place — the legacy
-/// run_trojanzero_flow behaviour) or a shared artifact bundle. Results are
-/// bit-identical between the two paths: the artifacts cache pure functions
-/// of the same inputs, and the oracle-seed clone carries the exact rows a
-/// fresh build would recompute.
-FlowResult run_flow_common(const std::string& benchmark_name,
-                           const FlowOptions& options,
-                           const SharedArtifacts* arts) {
-  const auto t0 = std::chrono::steady_clock::now();
-  FlowResult r;
-  r.benchmark = benchmark_name;
+using Clock = std::chrono::steady_clock;
 
-  std::optional<PowerModel> own_pm;
-  const PowerModel* pm = nullptr;
-  if (arts != nullptr) {
-    r.original = arts->circuit->netlist;
-    pm = arts->pm;
-  } else {
-    r.original = make_benchmark(benchmark_name);
-    own_pm.emplace(CellLibrary::tsmc65_like());
-    pm = &*own_pm;
-  }
-  if (check_enabled()) {
-    // Gate the flow on a clean input: a generator/parser defect is reported
-    // here, not attributed to the first salvage commit downstream.
-    verify_or_throw(r.original, nullptr, "flow input");
-  }
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
 
-  // Phase (a): defender test patterns + HT-free thresholds.
-  if (arts != nullptr) {
-    r.suite = arts->defender->suite;
-    r.atpg_coverage = arts->defender->atpg_coverage;
-    r.p_n = arts->circuit->golden_totals;
-  } else {
-    r.suite = make_defender_suite(r.original, options.testgen);
-    r.atpg_coverage = r.suite.algorithms.front().coverage.coverage();
-    r.p_n = pm->analyze(r.original).totals;
-  }
+/// Gate the flow on a clean input (TZ_CHECK): a generator/parser defect is
+/// reported here, not attributed to the first salvage commit downstream.
+void check_flow_input(const Netlist& original) {
+  if (check_enabled()) verify_or_throw(original, nullptr, "flow input");
+}
 
-  FlowEngine engine(r.original, r.suite, *pm);
-  if (arts != nullptr) engine.set_shared(&arts->shared);
-
-  // Phase (b): Algorithm 1.
+/// Phase (b) of the flow (Fig. 2), Algorithm 1, on `engine`: sets r.salvage
+/// and r.p_np. Reads only the options Algorithm 1 reads (pth, order,
+/// threads), so one call serves every HT shape of a salvage group.
+void salvage_phase(FlowEngine& engine, const FlowOptions& options,
+                   FlowResult& r) {
   SalvageOptions sopt;
   sopt.pth = options.pth;
   sopt.order = options.order;
@@ -93,10 +67,18 @@ FlowResult run_flow_common(const std::string& benchmark_name,
     report_and_rethrow(e);
   }
   r.p_np = r.salvage.power_after;
+}
 
-  // Phase (c): Algorithm 2. The library starts with the Table I counter for
-  // this circuit and falls back to smaller HTs when the salvaged budget
-  // cannot fund it (Algorithm 2 line 16: "selecting another HT").
+/// Phase (c) and the stamp, against the r.salvage salvage_phase left: sets
+/// r.insertion, r.p_npp, both Pft values and r.meta (wall_ms zero; the
+/// caller times). Overwrites every per-HT field, so a salvage group reuses
+/// one FlowResult for all its rows.
+void insertion_phase(FlowEngine& engine, const Netlist& original,
+                     const DefenderSuite& suite, const FlowOptions& options,
+                     FlowResult& r) {
+  // Algorithm 2. The library starts with the Table I counter for this
+  // circuit and falls back to smaller HTs when the salvaged budget cannot
+  // fund it (Algorithm 2 line 16: "selecting another HT").
   InsertionOptions iopt = options.insertion;
   if (iopt.library.empty()) {
     for (int bits = options.counter_bits; bits >= 2; --bits) {
@@ -115,11 +97,13 @@ FlowResult run_flow_common(const std::string& benchmark_name,
   // Pft over the defender's total pattern count — only when an HT was
   // actually placed; a failed insertion reports zero exposure instead of a
   // row fabricated from a default-constructed descriptor.
+  std::size_t test_len = 0;
+  for (const DefenderTestSet& ts : suite.algorithms) {
+    test_len += ts.patterns.num_patterns();
+  }
+  r.pft = 0.0;
+  r.pft_payload = 0.0;
   if (r.insertion.success) {
-    std::size_t test_len = 0;
-    for (const DefenderTestSet& ts : r.suite.algorithms) {
-      test_len += ts.patterns.num_patterns();
-    }
     r.pft = analytic_pft(r.insertion.trigger_p1, test_len, 0);
     r.pft_payload = analytic_pft(r.insertion.trigger_p1, test_len,
                                  r.insertion.ht_desc.counter_bits);
@@ -127,21 +111,17 @@ FlowResult run_flow_common(const std::string& benchmark_name,
 
   // Self-describing stamp: what ran and with which engine modes. These are
   // the fields the wire format keeps; printers read nothing else.
-  r.meta.circuit = benchmark_name;
+  r.meta = FlowMeta{};
+  r.meta.circuit = r.benchmark;
   r.meta.seed = options.testgen.seed;
-  r.meta.gates = r.original.gate_count();
-  r.meta.inputs = r.original.inputs().size();
-  r.meta.outputs = r.original.outputs().size();
-  for (const DefenderTestSet& ts : r.suite.algorithms) {
+  r.meta.gates = original.gate_count();
+  r.meta.inputs = original.inputs().size();
+  r.meta.outputs = original.outputs().size();
+  for (const DefenderTestSet& ts : suite.algorithms) {
     r.meta.suite_patterns.push_back(ts.patterns.num_patterns());
   }
   r.meta.fault_mode = std::string(to_string(fault_sim_mode()));
   r.meta.threads = resolve_threads(options.threads);
-  r.meta.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  return r;
 }
 
 }  // namespace
@@ -246,24 +226,105 @@ JobSpec JobSpec::from_json(const Json& j) {
   return s;
 }
 
-// ------------------------------------------------------------ run_flow_job
-
-FlowResult run_flow_job(const JobSpec& spec, const SharedArtifacts& arts) {
+std::string salvage_key(const JobSpec& spec) {
   const JobSpec r = spec.resolved();
-  return run_flow_common(r.circuit, r.flow_options(), &arts);
+  std::string key = r.circuit;
+  key += "|";
+  key += testgen_fingerprint(r.testgen());
+  key += "|pth=";
+  append_double(key, r.pth);
+  key += "|ord=";
+  key.push_back(r.order);
+  return key;
+}
+
+// ---------------------------------------------------------- run_flow_group
+
+void run_flow_group(const std::vector<JobSpec>& specs, ArtifactStore& store,
+                    const FlowRowSink& sink) {
+  if (specs.empty()) return;
+  for (std::size_t i = 1; i < specs.size(); ++i) {
+    if (salvage_key(specs[i]) != salvage_key(specs.front())) {
+      throw std::invalid_argument("run_flow_group: " + specs[i].id() +
+                                  " does not share the salvage of " +
+                                  specs.front().id());
+    }
+  }
+
+  // The engine reads the store's netlist and suite in place: a group holds
+  // one SalvageResult and one FlowResult, and no copy of N or the suite.
+  FlowResult r;
+  SharedArtifacts arts;
+  std::optional<FlowEngine> engine;
+  Clock::time_point t0;
+  try {
+    const JobSpec lead = specs.front().resolved();
+    arts = store.get_job_inputs(lead.circuit, lead.testgen());
+    t0 = Clock::now();
+    check_flow_input(arts.circuit->netlist);
+    engine.emplace(arts.circuit->netlist, arts.defender->suite, *arts.pm);
+    engine->set_shared(&arts.shared);
+    r.benchmark = lead.circuit;
+    r.atpg_coverage = arts.defender->atpg_coverage;
+    r.p_n = arts.circuit->golden_totals;
+    salvage_phase(*engine, lead.flow_options(), r);
+  } catch (...) {
+    const std::exception_ptr error = std::current_exception();
+    for (std::size_t i = 0; i < specs.size(); ++i) sink(i, nullptr, error);
+    return;
+  }
+
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    // The first row's clock starts before the shared salvage.
+    const Clock::time_point start = i == 0 ? t0 : Clock::now();
+    std::exception_ptr error;
+    try {
+      insertion_phase(*engine, arts.circuit->netlist, arts.defender->suite,
+                      specs[i].flow_options(), r);
+      r.meta.wall_ms = ms_since(start);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    sink(i, error ? nullptr : &r, error);
+  }
 }
 
 FlowResult run_flow_job(const JobSpec& spec, ArtifactStore& store) {
-  const JobSpec r = spec.resolved();
-  const SharedArtifacts arts = store.get_job_inputs(r.circuit, r.testgen());
-  return run_flow_common(r.circuit, r.flow_options(), &arts);
+  FlowResult out;
+  std::exception_ptr error;
+  run_flow_group(
+      {spec}, store,
+      [&](std::size_t, const FlowResult* r, const std::exception_ptr& e) {
+        if (r != nullptr) out = *r;
+        error = e;
+      });
+  if (error) std::rethrow_exception(error);
+  return out;
 }
 
 // ---------------------------------------------------- legacy entry points
 
 FlowResult run_trojanzero_flow(const std::string& benchmark_name,
                                FlowOptions options) {
-  return run_flow_common(benchmark_name, options, nullptr);
+  // Cold inputs built in place; the result keeps N and the suite. Rows are
+  // bit-identical to the shared path's: the artifacts cache pure functions
+  // of the same inputs, and the oracle-seed clone carries the exact rows a
+  // fresh build would recompute.
+  const Clock::time_point t0 = Clock::now();
+  FlowResult r;
+  r.benchmark = benchmark_name;
+  r.original = make_benchmark(benchmark_name);
+  check_flow_input(r.original);
+  const PowerModel pm(CellLibrary::tsmc65_like());
+  // Phase (a): defender test patterns + HT-free thresholds.
+  r.suite = make_defender_suite(r.original, options.testgen);
+  r.atpg_coverage = r.suite.algorithms.front().coverage.coverage();
+  r.p_n = pm.analyze(r.original).totals;
+  FlowEngine engine(r.original, r.suite, pm);
+  salvage_phase(engine, options, r);
+  insertion_phase(engine, r.original, r.suite, options, r);
+  r.meta.wall_ms = ms_since(t0);
+  return r;
 }
 
 FlowResult run_trojanzero_flow(const std::string& benchmark_name) {

@@ -5,8 +5,8 @@
 
 namespace tz {
 
-// run_trojanzero_flow is defined in campaign/job.cpp since the campaign
-// refactor: it is a one-job campaign (cold ArtifactStore + run_flow_job).
+// run_trojanzero_flow is defined in campaign/job.cpp, beside the salvage
+// and insertion phases it shares with the campaign's salvage groups.
 // This TU keeps the presentation layer, which reads only serializable
 // fields (FlowMeta + scalar results) so a FlowResult deserialized from a
 // campaign JSONL row prints exactly like a freshly computed one.

@@ -85,9 +85,10 @@ struct FlowResult {
 /// Run the complete TrojanZero flow per Fig. 2: verify N, compute thresholds,
 /// run Algorithm 1 and Algorithm 2, and evaluate Pft. `options.pth` and
 /// `counter_bits` default from the Table I spec when the benchmark is known.
-/// Since the campaign refactor this is a convenience wrapper over the job
-/// layer (campaign/job.hpp): one cold ArtifactStore build + run_flow_job.
-/// The definition lives in campaign/job.cpp.
+/// Builds N, the suite and the power model in place (no ArtifactStore) and
+/// runs the same salvage and insertion phases as the campaign's job layer
+/// (campaign/job.hpp); the result keeps N and the suite. The definition
+/// lives in campaign/job.cpp.
 FlowResult run_trojanzero_flow(const std::string& benchmark_name,
                                FlowOptions options);
 

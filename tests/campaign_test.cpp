@@ -1,8 +1,10 @@
 // Campaign engine tests (src/campaign/): the deterministic JSON wire
 // format, JobSpec identity/resolution, the artifact layer's shared-vs-cold
-// bit-identity, grid expansion + sharding, the checkpoint/resume/merge
-// byte-identity contract across shard and thread counts (including a
-// simulated mid-shard kill with a torn trailing line), the CampaignChecker
+// bit-identity, salvage groups (one Algorithm 1 run per group, rows equal
+// to each job's cold flow), grid expansion + sharding, the
+// checkpoint/resume/merge byte-identity contract across shard and thread
+// counts (including a simulated mid-shard kill with a torn trailing line
+// and a run cut inside a salvage group), the CampaignChecker
 // corruption tests (one per Camp* CheckId), and the cgroup CPU-quota
 // parsers behind ThreadPool's thread resolution.
 #include <gtest/gtest.h>
@@ -364,9 +366,13 @@ TEST(CampaignDriver, FailedJobsBecomeErrorRows) {
   // (make_benchmark throws) fail inside their jobs. The artifact phase
   // skips their keys; the jobs still throw in the job loop and record the
   // same error rows at every thread count, beside the good row.
+  // Two HT shapes per (circuit, defender): the no_such_circuit/atpg salvage
+  // group holds two jobs, and its failed artifact lookup becomes one error
+  // row per job.
   CampaignGrid grid;
   grid.name = "mixed";
   grid.circuits = {"c17", "no_such_circuit"};
+  grid.trigger_widths = {2, 4};
   grid.defenders = {"atpg", "bogus"};
   std::string merged[2];
   const std::size_t threads[2] = {1, 4};
@@ -376,20 +382,148 @@ TEST(CampaignDriver, FailedJobsBecomeErrorRows) {
     opt.out_dir = dir.string();
     opt.threads = threads[t];
     const CampaignRunStats stats = run_campaign(grid, opt);
-    EXPECT_EQ(stats.completed, 1u);
-    EXPECT_EQ(stats.failed, 3u);
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.failed, 6u);
     EXPECT_EQ(stats.artifact_keys, 1u);  // only c17/atpg builds
+    // c17/atpg and no_such_circuit/atpg group their two shapes; each bogus
+    // job has no salvage key and runs alone.
+    EXPECT_EQ(stats.salvage_groups, 6u);
     merged[t] = merge_campaign(grid, dir.string(), 1);
   }
   EXPECT_EQ(merged[0], merged[1]);
 
   const std::vector<CampaignRow> rows = parse_campaign_artifact(merged[0]);
-  ASSERT_EQ(rows.size(), 4u);  // grid order: c17 x {atpg, bogus}, then
-                               // no_such_circuit x {atpg, bogus}
-  EXPECT_TRUE(rows[0].error.empty());
-  EXPECT_NE(rows[1].error.find("bogus"), std::string::npos);
-  EXPECT_NE(rows[2].error.find("no_such_circuit"), std::string::npos);
-  EXPECT_NE(rows[3].error.find("bogus"), std::string::npos);
+  // Grid order: c17 x tw{2,4} x {atpg, bogus}, then the same for
+  // no_such_circuit.
+  ASSERT_EQ(rows.size(), 8u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const bool bogus = i % 2 == 1;
+    if (bogus) {
+      EXPECT_NE(rows[i].error.find("bogus"), std::string::npos) << i;
+    } else if (i < 4) {
+      EXPECT_TRUE(rows[i].error.empty()) << i;
+    } else {
+      EXPECT_NE(rows[i].error.find("no_such_circuit"), std::string::npos)
+          << i;
+    }
+  }
+  EXPECT_NE(rows[4].id, rows[6].id);
+}
+
+TEST(CampaignDriver, SalvageGroupsMatchPerJobFlows) {
+  // Two HT shapes x two trigger widths x two orders per circuit: two
+  // salvage groups (one per order) of four jobs share each suite key.
+  CampaignGrid grid;
+  grid.name = "groups";
+  grid.circuits = {"c17", "c432"};
+  grid.counter_bits = {2, 3};
+  grid.trigger_widths = {2, 4};
+  grid.orders = {'p', 'l'};
+  const std::vector<JobSpec> jobs = grid.expand();
+  ASSERT_EQ(jobs.size(), 16u);
+
+  // Merged bytes are identical across shards {1,2} x threads {1,4}.
+  const std::string reference =
+      run_and_merge(grid, scratch_dir("groups_ref"), 1, 1);
+  int config = 0;
+  for (const std::size_t shards : {1u, 2u}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      if (shards == 1 && threads == 1) continue;
+      const fs::path dir = scratch_dir("groups" + std::to_string(config++));
+      EXPECT_EQ(run_and_merge(grid, dir, shards, threads), reference)
+          << shards << " shards, " << threads << " threads";
+    }
+  }
+
+  // Every grouped row equals the job's own cold flow.
+  const std::vector<CampaignRow> rows = parse_campaign_artifact(reference);
+  ASSERT_EQ(rows.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ArtifactStore fresh;
+    FlowResult cold = run_flow_job(jobs[i], fresh);
+    cold.meta.wall_ms = 0.0;
+    EXPECT_EQ(flow_result_to_json(rows[i].result).dump(),
+              flow_result_to_json(cold).dump())
+        << jobs[i].id();
+  }
+
+  // One salvage per (circuit, order); the artifact phase builds one suite
+  // per circuit.
+  CampaignOptions opt;
+  opt.out_dir = scratch_dir("groups_stats").string();
+  opt.threads = 4;
+  const CampaignRunStats stats = run_campaign(grid, opt);
+  EXPECT_EQ(stats.artifact_keys, 2u);
+  EXPECT_EQ(stats.salvage_groups, 4u);
+
+  // A run cut after three jobs stops inside c17's groups (p: 2 of 4 jobs,
+  // l: 1 of 4); the resume finishes them and the merge reproduces the
+  // uninterrupted bytes.
+  const fs::path dir = scratch_dir("groups_resume");
+  opt.out_dir = dir.string();
+  opt.max_jobs = 3;
+  CampaignRunStats part = run_campaign(grid, opt);
+  EXPECT_EQ(part.completed, 3u);
+  EXPECT_EQ(part.salvage_groups, 2u);
+  opt.max_jobs = 0;
+  part = run_campaign(grid, opt);
+  EXPECT_EQ(part.skipped, 3u);
+  EXPECT_EQ(part.completed, 13u);
+  EXPECT_EQ(part.salvage_groups, 4u);
+  EXPECT_EQ(merge_campaign(grid, dir.string(), 1), reference);
+}
+
+TEST(CampaignJob, FlowGroupRowAfterAFailedInsertionMatchesItsColdFlow) {
+  // wallace6 at seed 4 places an HT with trigger width 2 but not 4: one
+  // group whose reused FlowResult goes from a placed HT to a failed
+  // insertion and back must still produce every job's cold row.
+  std::vector<JobSpec> specs;
+  for (const int tw : {2, 4, 2}) {
+    JobSpec s;
+    s.circuit = "wallace6";
+    s.seed = 4;
+    s.trigger_width = tw;
+    specs.push_back(s);
+  }
+  specs[2].counter_bits = 3;
+  ArtifactStore store;
+  std::vector<std::string> rows(specs.size());
+  std::vector<bool> placed(specs.size());
+  run_flow_group(specs, store,
+                 [&](std::size_t i, const FlowResult* r,
+                     const std::exception_ptr&) {
+                   ASSERT_NE(r, nullptr);
+                   FlowResult row = *r;
+                   row.meta.wall_ms = 0.0;
+                   rows[i] = flow_result_to_json(row).dump();
+                   placed[i] = r->insertion.success;
+                 });
+  EXPECT_EQ(placed, (std::vector<bool>{true, false, true}));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ArtifactStore fresh;
+    FlowResult cold = run_flow_job(specs[i], fresh);
+    cold.meta.wall_ms = 0.0;
+    EXPECT_EQ(rows[i], flow_result_to_json(cold).dump()) << specs[i].id();
+  }
+}
+
+TEST(CampaignJob, FlowGroupRejectsSpecsOfDifferentSalvages) {
+  JobSpec a;
+  a.circuit = "c17";
+  JobSpec b = a;
+  b.trigger_width = 4;  // same salvage, different HT shape
+  EXPECT_EQ(salvage_key(a), salvage_key(b));
+  JobSpec c = a;
+  c.order = 'l';  // different salvage
+  EXPECT_NE(salvage_key(a), salvage_key(c));
+  ArtifactStore store;
+  std::size_t rows = 0;
+  const FlowRowSink count = [&](std::size_t, const FlowResult*,
+                                const std::exception_ptr&) { ++rows; };
+  EXPECT_THROW(run_flow_group({a, c}, store, count), std::invalid_argument);
+  EXPECT_EQ(rows, 0u);
+  run_flow_group({a, b}, store, count);
+  EXPECT_EQ(rows, 2u);
 }
 
 TEST(CampaignDriver, MergeRequiresEveryShardFile) {

@@ -148,10 +148,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "tz_campaign: shard %zu/%zu: %zu jobs (%zu skipped, "
                    "%zu completed, %zu failed) of %zu total; "
-                   "%zu artifact keys built\n",
+                   "%zu artifact keys built, %zu salvage groups\n",
                    opt.shard_index, opt.shard_count, stats.shard_jobs,
                    stats.skipped, stats.completed, stats.failed,
-                   stats.total_jobs, stats.artifact_keys);
+                   stats.total_jobs, stats.artifact_keys,
+                   stats.salvage_groups);
       return stats.failed == 0 ? 0 : 1;
     }
     if (cmd == "merge") {
